@@ -552,8 +552,8 @@ func (c *ConcurrentTestbed) QueryContext(ctx context.Context, src string, opts *
 	} else {
 		var view *matview.View
 		if rres != nil && keep {
-			tables, created := rres.Detach()
-			view = matview.New(compiled.Program, tables, created)
+			tables, temps := rres.Detach()
+			view = matview.New(compiled.Program, tables, temps)
 		}
 		c.plans.store(key, s, compiled, res, view, policy)
 	}

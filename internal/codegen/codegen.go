@@ -65,34 +65,19 @@ type RuleSQL struct {
 	// Where is the conjunction of constant and variable-equality
 	// conditions ("" when the body imposes none).
 	Where string
-	// CliqueOccs indexes From entries whose predicate belongs to the
-	// same clique as Head (the occurrences semi-naive differentiates).
-	CliqueOccs []int
 }
 
 // SQL renders the rule with the given predicate→table mapping.
 func (r *RuleSQL) SQL(tableOf func(pred string) string) string {
-	var b strings.Builder
-	b.WriteString("SELECT DISTINCT ")
-	b.WriteString(r.SelectList)
-	b.WriteString(" FROM ")
+	tables := make([]string, len(r.From))
 	for i, f := range r.From {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(tableOf(f.Pred))
-		b.WriteByte(' ')
-		b.WriteString(f.Alias)
+		tables[i] = tableOf(f.Pred)
 	}
-	if r.Where != "" {
-		b.WriteString(" WHERE ")
-		b.WriteString(r.Where)
-	}
-	return b.String()
+	return r.SQLWithTables(tables)
 }
 
 // SQLWithTables renders the rule with an explicit table name per FROM
-// position (used by semi-naive differentials).
+// position (used by the delta loop's differentials).
 func (r *RuleSQL) SQLWithTables(tables []string) string {
 	var b strings.Builder
 	b.WriteString("SELECT DISTINCT ")
@@ -126,6 +111,18 @@ type Node struct {
 	// read (from pcg.Node.Deps). Nodes with no path between them may
 	// evaluate concurrently.
 	Deps []int
+}
+
+// Rules returns the node's exit and recursive rules.
+func (n *Node) Rules() []*RuleSQL {
+	rules := make([]*RuleSQL, 0, len(n.ExitRules)+len(n.RecursiveRules))
+	for i := range n.ExitRules {
+		rules = append(rules, &n.ExitRules[i])
+	}
+	for i := range n.RecursiveRules {
+		rules = append(rules, &n.RecursiveRules[i])
+	}
+	return rules
 }
 
 // SeedFact is a ground tuple inserted into a derived predicate before
@@ -164,9 +161,7 @@ func Generate(order []*pcg.Node, derivedTypes map[string][]rel.Type, basePreds [
 			Recursive: n.Recursive,
 			Deps:      append([]int(nil), n.Deps...),
 		}
-		inClique := make(map[string]bool, len(n.Preds))
 		for _, p := range n.Preds {
-			inClique[p] = true
 			types, ok := derivedTypes[p]
 			if !ok {
 				return nil, fmt.Errorf("codegen: no inferred types for %s", p)
@@ -182,14 +177,14 @@ func Generate(order []*pcg.Node, derivedTypes map[string][]rel.Type, basePreds [
 			prog.Schemas[p] = schema
 		}
 		for _, c := range n.ExitRules {
-			rs, err := CompileRule(c, inClique)
+			rs, err := CompileRule(c)
 			if err != nil {
 				return nil, err
 			}
 			node.ExitRules = append(node.ExitRules, rs)
 		}
 		for _, c := range n.RecursiveRules {
-			rs, err := CompileRule(c, inClique)
+			rs, err := CompileRule(c)
 			if err != nil {
 				return nil, err
 			}
@@ -235,9 +230,8 @@ func (p *Program) Explain() string {
 	return b.String()
 }
 
-// CompileRule translates one clause into its RuleSQL. inClique marks
-// predicates mutually recursive with the head (may be nil).
-func CompileRule(c dlog.Clause, inClique map[string]bool) (RuleSQL, error) {
+// CompileRule translates one clause into its RuleSQL.
+func CompileRule(c dlog.Clause) (RuleSQL, error) {
 	if len(c.Body) == 0 {
 		return RuleSQL{}, fmt.Errorf("codegen: cannot compile bodiless clause %q; facts belong in the extensional database", c.String())
 	}
@@ -250,9 +244,6 @@ func CompileRule(c dlog.Clause, inClique map[string]bool) (RuleSQL, error) {
 	for ai, a := range c.Body {
 		alias := fmt.Sprintf("t%d", ai)
 		rs.From = append(rs.From, FromEntry{Pred: a.Pred, Alias: alias})
-		if inClique != nil && inClique[a.Pred] {
-			rs.CliqueOccs = append(rs.CliqueOccs, ai)
-		}
 		for gi, t := range a.Args {
 			ref := fmt.Sprintf("%s.c%d", alias, gi)
 			if t.IsVar() {

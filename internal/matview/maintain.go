@@ -2,7 +2,6 @@ package matview
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -10,6 +9,7 @@ import (
 	"dkbms/internal/db"
 	"dkbms/internal/obs"
 	"dkbms/internal/rel"
+	"dkbms/internal/rtlib"
 	"dkbms/internal/storage"
 )
 
@@ -47,8 +47,10 @@ func (v *View) Maintain(d *db.DB, ev *Event) ([]rel.Tuple, error) {
 		}
 	}
 
-	m := &maint{d: d, v: v, prefix: fmt.Sprintf("mv%d_", atomic.AddUint64(&viewSeq, 1))}
-	defer m.dropAll()
+	m := &maint{d: d, v: v, temps: rtlib.NewTemps(fmt.Sprintf("mv%d_", atomic.AddUint64(&viewSeq, 1)))}
+	// Best-effort: a failed scratch drop leaks a temp table until the
+	// database closes, nothing worse.
+	defer m.temps.DropAll(d) //nolint:errcheck
 	if len(del) > 0 {
 		if err := m.dred(del, tr.Root()); err != nil {
 			return nil, err
@@ -76,89 +78,44 @@ func (v *View) Maintain(d *db.DB, ev *Event) ([]rel.Tuple, error) {
 }
 
 // maint is the working state of one maintenance run: the scratch temp
-// tables it creates (delta tables, pre-state copies) are dropped when
-// the run ends, leaving only the view's accumulators.
+// tables it creates (base deltas, pre-state copies, deletion
+// candidates) are dropped when the run ends, leaving only the view's
+// accumulators.
 type maint struct {
-	d       *db.DB
-	v       *View
-	prefix  string
-	created []string
-	seq     int
+	d     *db.DB
+	v     *View
+	temps *rtlib.Temps
 	// deltaTuples counts derived-relation changes applied: tuples
 	// over-deleted plus delta tuples promoted into accumulators.
 	deltaTuples int
 }
 
-func (m *maint) createTable(hint string, schema *rel.Schema) (string, error) {
-	if schema == nil {
-		return "", fmt.Errorf("matview: no schema for scratch table %s", hint)
-	}
-	m.seq++
-	name := fmt.Sprintf("%s%s%d", m.prefix, hint, m.seq)
-	var b strings.Builder
-	fmt.Fprintf(&b, "CREATE TEMP TABLE %s (", name)
-	for i := 0; i < schema.Len(); i++ {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		c := schema.Col(i)
-		fmt.Fprintf(&b, "%s %s", c.Name, c.Type.String())
-	}
-	b.WriteByte(')')
-	if err := m.d.Exec(b.String()); err != nil {
-		return "", err
-	}
-	m.created = append(m.created, name)
-	return name, nil
-}
-
-func (m *maint) dropAll() {
-	for _, t := range m.created {
-		// Best-effort: a failed scratch drop leaks a temp table until
-		// the database closes, nothing worse.
-		m.d.Exec("DROP TABLE " + t) //nolint:errcheck
-	}
-	m.created = nil
-}
-
-// rules iterates every compiled rule of the program (exit and recursive
-// across all evaluation-order nodes). Delta propagation differentiates
-// globally, not per clique: an exit rule of a later node reads derived
-// relations of earlier nodes, so it too must fire on their deltas.
-func (m *maint) rules(f func(r *codegen.RuleSQL) error) error {
-	for ni := range m.v.prog.Nodes {
-		n := &m.v.prog.Nodes[ni]
-		for i := range n.ExitRules {
-			if err := f(&n.ExitRules[i]); err != nil {
-				return err
+// seed is round 0 of a delta loop driven by base-table deltas: every
+// rule fired once per FROM position over a touched base table, reading
+// that table's delta there.
+func (m *maint) seed(dbase map[string]string) []rtlib.Firing {
+	var fs []rtlib.Firing
+	for _, r := range m.v.rules {
+		for fi, f := range r.From {
+			if _, derived := m.v.tables[f.Pred]; derived {
+				continue
 			}
-		}
-		for i := range n.RecursiveRules {
-			if err := f(&n.RecursiveRules[i]); err != nil {
-				return err
+			if dt, ok := dbase[codegen.BaseTable(f.Pred)]; ok {
+				fs = append(fs, rtlib.Firing{Rule: r, Pos: fi, Delta: dt})
 			}
 		}
 	}
-	return nil
+	return fs
 }
 
-// tableSchema returns the schema of a live table (base-table deltas and
-// pre-state copies reuse the extensional schema).
-func (m *maint) tableSchema(table string) (*rel.Schema, error) {
+// materialize creates the scratch table hint+table with the base
+// table's schema, holding the given tuples.
+func (m *maint) materialize(hint, table string, tuples []rel.Tuple) (string, error) {
 	t := m.d.Table(table)
 	if t == nil {
-		return nil, fmt.Errorf("matview: base table %s vanished", table)
+		return "", fmt.Errorf("matview: base table %s vanished", table)
 	}
-	return t.Schema, nil
-}
-
-// materialize creates a scratch table holding the given tuples.
-func (m *maint) materialize(hint, table string, tuples []rel.Tuple) (string, error) {
-	schema, err := m.tableSchema(table)
-	if err != nil {
-		return "", err
-	}
-	name, err := m.createTable(hint, schema)
+	name, err := m.temps.Create(m.d, hint+table, t.Schema)
 	if err != nil {
 		return "", err
 	}
@@ -167,13 +124,12 @@ func (m *maint) materialize(hint, table string, tuples []rel.Tuple) (string, err
 
 // --- Insert propagation (semi-naive delta rules) ---
 
-// propagate applies base-table insertions: round 1 evaluates every rule
-// once per touched-base FROM position with the delta at that position
-// and full post-state elsewhere; later rounds differentiate derived
-// positions exactly like rtlib's semi-naive loop, with the EXCEPT chain
-// deduplicating across occurrences. Monotonicity makes this sound and
-// complete: lfp(post) = lfp(pre ∪ Δ) and every new derivation uses at
-// least one new tuple in some position.
+// propagate applies base-table insertions with rtlib's delta loop over
+// every rule of the program, seeded at the touched base positions and
+// reading the post-state elsewhere; later rounds differentiate the
+// view's derived predicates into their accumulators. Monotonicity makes
+// this sound and complete: lfp(post) = lfp(pre ∪ Δ) and every new
+// derivation uses at least one new tuple in some position.
 func (m *maint) propagate(ins map[string][]rel.Tuple, root *obs.Span) error {
 	sp := root.Start("propagate")
 	defer sp.End()
@@ -191,132 +147,21 @@ func (m *maint) propagate(ins map[string][]rel.Tuple, root *obs.Span) error {
 		}
 		dbase[table] = name
 	}
-	prev, next, err := m.deltaPair()
+	l := &rtlib.Loop{
+		Rules:   m.v.rules,
+		Preds:   m.v.preds,
+		Read:    m.v.tableOf,
+		Acc:     m.v.tables,
+		Schemas: m.v.prog.Schemas,
+		Seed:    m.seed(dbase),
+	}
+	promoted, rounds, err := l.Run(m.d, m.temps)
 	if err != nil {
 		return err
 	}
-
-	// Round 1: fire every rule at each touched-base position.
-	err = m.rules(func(r *codegen.RuleSQL) error {
-		for fi, f := range r.From {
-			if m.v.derived(f.Pred) {
-				continue
-			}
-			dt, ok := dbase[codegen.BaseTable(f.Pred)]
-			if !ok {
-				continue
-			}
-			if err := m.fire(r, fi, dt, m.v.tableOf, prev); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	// Later rounds: promote deltas into accumulators, differentiate
-	// derived positions until the delta runs dry.
-	rounds := 0
-	for {
-		counts, total, err := m.deltaCounts(prev)
-		if err != nil {
-			return err
-		}
-		if total == 0 {
-			break
-		}
-		rounds++
-		m.deltaTuples += total
-		for p, t := range prev {
-			if counts[p] == 0 {
-				continue
-			}
-			if err := m.d.Exec(fmt.Sprintf("INSERT INTO %s SELECT * FROM %s", m.v.tableOf(p), t)); err != nil {
-				return err
-			}
-		}
-		err = m.rules(func(r *codegen.RuleSQL) error {
-			for fi, f := range r.From {
-				if !m.v.derived(f.Pred) || counts[f.Pred] == 0 {
-					continue
-				}
-				if err := m.fire(r, fi, prev[f.Pred], m.v.tableOf, next); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if err := m.truncate(prev); err != nil {
-			return err
-		}
-		prev, next = next, prev
-	}
+	m.deltaTuples += promoted
 	sp.SetInt("rounds", int64(rounds))
 	sp.SetInt("delta_tuples", int64(m.deltaTuples))
-	return nil
-}
-
-// fire evaluates one rule with the delta table at FROM position fi and
-// tableOf everywhere else, inserting genuinely new head tuples (not in
-// the accumulator, not already in this round's delta) into dst[head].
-func (m *maint) fire(r *codegen.RuleSQL, fi int, deltaTable string, tableOf func(string) string, dst map[string]string) error {
-	tables := make([]string, len(r.From))
-	for fj, f := range r.From {
-		if fj == fi {
-			tables[fj] = deltaTable
-		} else {
-			tables[fj] = tableOf(f.Pred)
-		}
-	}
-	stmt := fmt.Sprintf("INSERT INTO %s %s EXCEPT SELECT * FROM %s EXCEPT SELECT * FROM %s",
-		dst[r.Head], r.SQLWithTables(tables), m.v.tableOf(r.Head), dst[r.Head])
-	if err := m.d.Exec(stmt); err != nil {
-		return fmt.Errorf("matview: delta rule %q: %w", r.Source, err)
-	}
-	return nil
-}
-
-// deltaPair creates two empty per-predicate delta table sets (current
-// and next round), reused across rounds by truncation.
-func (m *maint) deltaPair() (prev, next map[string]string, err error) {
-	prev = make(map[string]string, len(m.v.tables))
-	next = make(map[string]string, len(m.v.tables))
-	for p := range m.v.tables {
-		if prev[p], err = m.createTable("d_", m.v.prog.Schemas[p]); err != nil {
-			return nil, nil, err
-		}
-		if next[p], err = m.createTable("d_", m.v.prog.Schemas[p]); err != nil {
-			return nil, nil, err
-		}
-	}
-	return prev, next, nil
-}
-
-func (m *maint) deltaCounts(delta map[string]string) (map[string]int, int, error) {
-	counts := make(map[string]int, len(delta))
-	total := 0
-	for p, t := range delta {
-		n, err := m.d.QueryCount("SELECT COUNT(*) FROM " + t)
-		if err != nil {
-			return nil, 0, err
-		}
-		counts[p] = int(n)
-		total += int(n)
-	}
-	return counts, total, nil
-}
-
-func (m *maint) truncate(delta map[string]string) error {
-	for _, t := range delta {
-		if err := m.d.Exec("DELETE FROM " + t); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -374,94 +219,26 @@ func (m *maint) dred(del map[string][]rel.Tuple, root *obs.Span) error {
 		return bt
 	}
 
-	// Accumulated deletion candidates per derived predicate, plus the
-	// per-round pair.
-	acc := make(map[string]string, len(m.v.tables))
-	for p := range m.v.tables {
-		t, err := m.createTable("dd_", m.v.prog.Schemas[p])
+	// Over-delete: the delta loop against the pre-state, accumulating
+	// deletion candidates per derived predicate.
+	acc := make(map[string]string, len(m.v.preds))
+	for _, p := range m.v.preds {
+		t, err := m.temps.Create(m.d, "dd_"+p, m.v.prog.Schemas[p])
 		if err != nil {
 			return err
 		}
 		acc[p] = t
 	}
-	prev, next, err := m.deltaPair()
-	if err != nil {
+	l := &rtlib.Loop{
+		Rules:   m.v.rules,
+		Preds:   m.v.preds,
+		Read:    preOf,
+		Acc:     acc,
+		Schemas: m.v.prog.Schemas,
+		Seed:    m.seed(dbase),
+	}
+	if _, _, err := l.Run(m.d, m.temps); err != nil {
 		return err
-	}
-	// fireDel is fire against the pre-state with the candidate chain's
-	// dedup (EXCEPT accumulated candidates EXCEPT this round).
-	fireDel := func(r *codegen.RuleSQL, fi int, deltaTable string, dst map[string]string) error {
-		tables := make([]string, len(r.From))
-		for fj, f := range r.From {
-			if fj == fi {
-				tables[fj] = deltaTable
-			} else {
-				tables[fj] = preOf(f.Pred)
-			}
-		}
-		stmt := fmt.Sprintf("INSERT INTO %s %s EXCEPT SELECT * FROM %s EXCEPT SELECT * FROM %s",
-			dst[r.Head], r.SQLWithTables(tables), acc[r.Head], dst[r.Head])
-		if err := m.d.Exec(stmt); err != nil {
-			return fmt.Errorf("matview: over-delete rule %q: %w", r.Source, err)
-		}
-		return nil
-	}
-
-	// Round 1: candidates from the deleted base facts.
-	err = m.rules(func(r *codegen.RuleSQL) error {
-		for fi, f := range r.From {
-			if m.v.derived(f.Pred) {
-				continue
-			}
-			dt, ok := dbase[codegen.BaseTable(f.Pred)]
-			if !ok {
-				continue
-			}
-			if err := fireDel(r, fi, dt, prev); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	// Later rounds: candidates breed candidates through derived
-	// positions, still against the pre-state.
-	for {
-		counts, total, err := m.deltaCounts(prev)
-		if err != nil {
-			return err
-		}
-		if total == 0 {
-			break
-		}
-		for p, t := range prev {
-			if counts[p] == 0 {
-				continue
-			}
-			if err := m.d.Exec(fmt.Sprintf("INSERT INTO %s SELECT * FROM %s", acc[p], t)); err != nil {
-				return err
-			}
-		}
-		err = m.rules(func(r *codegen.RuleSQL) error {
-			for fi, f := range r.From {
-				if !m.v.derived(f.Pred) || counts[f.Pred] == 0 {
-					continue
-				}
-				if err := fireDel(r, fi, prev[f.Pred], next); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if err := m.truncate(prev); err != nil {
-			return err
-		}
-		prev, next = next, prev
 	}
 
 	// Apply: delete the candidates from the accumulators, protecting
@@ -511,10 +288,10 @@ func (m *maint) dred(del map[string][]rel.Tuple, root *obs.Span) error {
 	for changed := true; changed; {
 		changed = false
 		rounds++
-		err = m.rules(func(r *codegen.RuleSQL) error {
+		for _, r := range m.v.rules {
 			cand := candidates[r.Head]
 			if len(cand) == 0 {
-				return nil
+				continue
 			}
 			rows, err := m.d.Query(r.SQL(m.v.tableOf))
 			if err != nil {
@@ -530,17 +307,13 @@ func (m *maint) dred(del map[string][]rel.Tuple, root *obs.Span) error {
 				delete(cand, k)
 			}
 			if len(back) == 0 {
-				return nil
+				continue
 			}
 			if err := m.d.InsertTuples(m.v.tableOf(r.Head), back); err != nil {
 				return err
 			}
 			rederived += len(back)
 			changed = true
-			return nil
-		})
-		if err != nil {
-			return err
 		}
 	}
 	m.deltaTuples += rederived

@@ -20,6 +20,7 @@ package matview
 
 import (
 	"fmt"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -27,6 +28,7 @@ import (
 	"dkbms/internal/db"
 	"dkbms/internal/obs"
 	"dkbms/internal/rel"
+	"dkbms/internal/rtlib"
 )
 
 // EventKind classifies a commit for cache invalidation.
@@ -127,19 +129,32 @@ type View struct {
 	prog *codegen.Program
 	// tables maps derived predicates to their accumulator temp tables;
 	// base predicates fall through to their extensional tables.
-	tables  map[string]string
-	created []string
+	tables map[string]string
+	temps  *rtlib.Temps
+	// rules are every compiled rule of the program and preds the
+	// derived predicates, sorted: maintenance differentiates globally,
+	// not per clique, because an exit rule of a later node reads derived
+	// relations of earlier nodes and must fire on their deltas too.
+	rules []*codegen.RuleSQL
+	preds []string
 
-	maintains   atomic.Int64
-	lastDelta   atomic.Int64
-	lastNs      atomic.Int64
-	lastTrace   atomic.Pointer[obs.Trace]
-	lastApplied atomic.Int64 // over-deletions + promoted delta tuples
+	maintains atomic.Int64
+	lastDelta atomic.Int64
+	lastNs    atomic.Int64
+	lastTrace atomic.Pointer[obs.Trace]
 }
 
 // New wraps a detached evaluation (rtlib Result.Detach) as a view.
-func New(prog *codegen.Program, tables map[string]string, created []string) *View {
-	return &View{prog: prog, tables: tables, created: created}
+func New(prog *codegen.Program, tables map[string]string, temps *rtlib.Temps) *View {
+	v := &View{prog: prog, tables: tables, temps: temps}
+	for i := range prog.Nodes {
+		v.rules = append(v.rules, prog.Nodes[i].Rules()...)
+	}
+	for p := range tables {
+		v.preds = append(v.preds, p)
+	}
+	sort.Strings(v.preds)
+	return v
 }
 
 // Maintains returns how many commits this view absorbed incrementally.
@@ -165,23 +180,10 @@ func (v *View) tableOf(pred string) string {
 	return codegen.BaseTable(pred)
 }
 
-// derived reports whether the predicate has a view-owned relation.
-func (v *View) derived(pred string) bool {
-	_, ok := v.tables[pred]
-	return ok
-}
-
 // Drop releases the view's temp tables. Safe to call once, from the
 // single writer; the view must not be maintained afterwards.
 func (v *View) Drop(d *db.DB) error {
-	var firstErr error
-	for _, t := range v.created {
-		if err := d.Exec("DROP TABLE " + t); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	v.created = nil
-	return firstErr
+	return v.temps.DropAll(d)
 }
 
 // Counters aggregates maintenance telemetry across a plan cache's

@@ -30,10 +30,10 @@ func (ev *evaluator) evalCliqueNaive(node *codegen.Node, seeds map[string][]rel.
 		}
 		zero.End()
 	}
-	rules := append(append([]codegen.RuleSQL(nil), node.ExitRules...), node.RecursiveRules...)
+	rules := node.Rules()
 
 	for {
-		if err := ev.checkCtx(); err != nil {
+		if err := ctxErr(ev.ctx); err != nil {
 			return err
 		}
 		ns.Iterations++
@@ -44,9 +44,9 @@ func (ev *evaluator) evalCliqueNaive(node *codegen.Node, seeds map[string][]rel.
 		// new_p := f(R) for each predicate, into fresh tables.
 		newNames := make(map[string]string, len(node.Preds))
 		for _, p := range node.Preds {
-			name := fmt.Sprintf("%snew%d_%s", ev.prefix, ns.Iterations, sanitize(p))
 			t0 := time.Now()
-			if err := ev.createTable(name, ev.prog.Schemas[p]); err != nil {
+			name, err := ev.temps.Create(ev.d, fmt.Sprintf("new%d_%s", ns.Iterations, sanitize(p)), ev.prog.Schemas[p])
+			if err != nil {
 				return err
 			}
 			ns.TempTable += time.Since(t0)
@@ -57,34 +57,22 @@ func (ev *evaluator) evalCliqueNaive(node *codegen.Node, seeds map[string][]rel.
 				return err
 			}
 		}
-		for i := range rules {
-			r := &rules[i]
-			target := newNames[r.Head]
-			var ruleSp *obs.Span
-			if itSp != nil {
-				ruleSp = itSp.Start("rule " + r.Head)
-				ruleSp.SetString("src", r.Source)
+		for _, r := range rules {
+			if err := ev.insertRule(newNames[r.Head], r, ns, itSp); err != nil {
+				return err
 			}
-			t0 := time.Now()
-			stmt := fmt.Sprintf("INSERT INTO %s %s EXCEPT SELECT * FROM %s",
-				target, r.SQL(ev.tableOf), target)
-			if err := ev.d.ExecTracedCtx(ev.evalCtx(), stmt, ruleSp); err != nil {
-				return fmt.Errorf("rtlib: rule %q: %w", r.Source, err)
-			}
-			ruleSp.End()
-			ns.Eval += time.Since(t0)
 		}
 		// Termination: f(R) added nothing beyond R. The check is the
 		// full set difference the paper calls out as expensive under a
-		// plain SQL interface. Under Parallel the difference is computed
-		// Go-side instead, hash-range partitioned across the pool.
+		// plain SQL interface. Under Parallel the hash backend computes
+		// it Go-side instead.
 		grew := false
 		tcSp := itSp.Start("termcheck")
 		for _, p := range node.Preds {
 			var added int
 			if ev.opts.Parallel && ev.parts > 1 {
 				tcSp.SetInt("sched.partitions", int64(ev.parts))
-				n, err := ev.termDiffPartitioned(newNames[p], ev.tableOf(p), ns)
+				n, err := ev.hashDiff(newNames[p], ev.tableOf(p), ns)
 				if err != nil {
 					return err
 				}
@@ -121,7 +109,7 @@ func (ev *evaluator) evalCliqueNaive(node *codegen.Node, seeds map[string][]rel.
 			if err := ev.d.Exec(fmt.Sprintf("INSERT INTO %s SELECT * FROM %s", old, newNames[p])); err != nil {
 				return err
 			}
-			if err := ev.dropTable(newNames[p]); err != nil {
+			if err := ev.temps.Drop(ev.d, newNames[p]); err != nil {
 				return err
 			}
 			ns.TempTable += time.Since(t0)
@@ -132,165 +120,34 @@ func (ev *evaluator) evalCliqueNaive(node *codegen.Node, seeds map[string][]rel.
 	}
 }
 
-// evalCliqueSemiNaive computes the least fixed point with the
-// differential (semi-naive) method: after initializing each predicate
-// with its exit rules, every iteration evaluates each recursive rule
-// once per clique occurrence with that occurrence reading the previous
-// iteration's delta, keeps only tuples not already accumulated, and
-// terminates when every delta is empty.
-func (ev *evaluator) evalCliqueSemiNaive(node *codegen.Node, seeds map[string][]rel.Tuple, ns *NodeStats, sp *obs.Span) error {
-	delta := make(map[string]string, len(node.Preds))
+// evalClique computes the least fixed point with the differential
+// (semi-naive) method: the delta loop seeded with the exit rules and
+// the magic seeds, differentiating the clique's predicates.
+func (ev *evaluator) evalClique(node *codegen.Node, seeds map[string][]rel.Tuple, ns *NodeStats, sp *obs.Span) error {
+	l := &Loop{
+		Preds:      node.Preds,
+		Read:       ev.tableOf,
+		Acc:        make(map[string]string, len(node.Preds)),
+		Schemas:    ev.prog.Schemas,
+		SeedTuples: seeds,
+	}
 	for _, p := range node.Preds {
-		if err := ev.createPredTable(p, seeds, ns); err != nil {
+		if err := ev.createPredTable(p, nil, ns); err != nil {
 			return err
 		}
-	}
-	// Initialization: exit rules (plus seeds, already inserted) fill
-	// the accumulators; delta_0 is a copy of the initial relations.
-	var zeroSp *obs.Span
-	if sp != nil {
-		zeroSp = sp.Start("iteration 0")
+		l.Acc[p] = ev.tableOf(p)
 	}
 	for i := range node.ExitRules {
-		r := &node.ExitRules[i]
-		target := ev.tableOf(r.Head)
-		var ruleSp *obs.Span
-		if zeroSp != nil {
-			ruleSp = zeroSp.Start("rule " + r.Head)
-			ruleSp.SetString("src", r.Source)
-		}
-		t0 := time.Now()
-		stmt := fmt.Sprintf("INSERT INTO %s %s EXCEPT SELECT * FROM %s",
-			target, r.SQL(ev.tableOf), target)
-		if err := ev.d.ExecTracedCtx(ev.evalCtx(), stmt, ruleSp); err != nil {
-			return fmt.Errorf("rtlib: rule %q: %w", r.Source, err)
-		}
-		ruleSp.End()
-		ns.Eval += time.Since(t0)
+		l.Seed = append(l.Seed, Firing{Rule: &node.ExitRules[i], Pos: -1})
 	}
-	for _, p := range node.Preds {
-		name := fmt.Sprintf("%sdelta_%s", ev.prefix, sanitize(p))
-		t0 := time.Now()
-		if err := ev.createTable(name, ev.prog.Schemas[p]); err != nil {
-			return err
-		}
-		if err := ev.d.Exec(fmt.Sprintf("INSERT INTO %s SELECT * FROM %s", name, ev.tableOf(p))); err != nil {
-			return err
-		}
-		ns.TempTable += time.Since(t0)
-		delta[p] = name
-		if zeroSp != nil {
-			zeroSp.SetInt("delta("+p+")", int64(ev.d.TableRows(name)))
-		}
-	}
-	zeroSp.End()
-
-	for {
-		if err := ev.checkCtx(); err != nil {
-			return err
-		}
-		ns.Iterations++
-		var itSp *obs.Span
-		if sp != nil {
-			itSp = sp.Start(fmt.Sprintf("iteration %d", ns.Iterations))
-		}
-		// Evaluate differentials into fresh delta tables.
-		newDelta := make(map[string]string, len(node.Preds))
-		for _, p := range node.Preds {
-			name := fmt.Sprintf("%sndelta%d_%s", ev.prefix, ns.Iterations, sanitize(p))
-			t0 := time.Now()
-			if err := ev.createTable(name, ev.prog.Schemas[p]); err != nil {
-				return err
-			}
-			ns.TempTable += time.Since(t0)
-			newDelta[p] = name
-		}
-		for i := range node.RecursiveRules {
-			r := &node.RecursiveRules[i]
-			target := newDelta[r.Head]
-			acc := ev.tableOf(r.Head)
-			// One differential per clique occurrence: occurrence j
-			// reads delta, the others the full accumulator.
-			for _, occ := range r.CliqueOccs {
-				tables := make([]string, len(r.From))
-				for fi, f := range r.From {
-					if fi == occ {
-						tables[fi] = delta[f.Pred]
-					} else {
-						tables[fi] = ev.tableOf(f.Pred)
-					}
-				}
-				var ruleSp *obs.Span
-				if itSp != nil {
-					ruleSp = itSp.Start("rule " + r.Head)
-					ruleSp.SetString("src", r.Source)
-				}
-				t0 := time.Now()
-				stmt := fmt.Sprintf("INSERT INTO %s %s EXCEPT SELECT * FROM %s EXCEPT SELECT * FROM %s",
-					target, r.SQLWithTables(tables), acc, target)
-				if err := ev.d.ExecTracedCtx(ev.evalCtx(), stmt, ruleSp); err != nil {
-					return fmt.Errorf("rtlib: rule %q: %w", r.Source, err)
-				}
-				ruleSp.End()
-				ns.Eval += time.Since(t0)
-			}
-		}
-		// Termination check: all deltas empty.
-		done := true
-		tcSp := itSp.Start("termcheck")
-		for _, p := range node.Preds {
-			t0 := time.Now()
-			n, err := ev.d.QueryCount(fmt.Sprintf("SELECT COUNT(*) FROM %s", newDelta[p]))
-			if err != nil {
-				return err
-			}
-			ns.TermCheck += time.Since(t0)
-			if n > 0 {
-				done = false
-			}
-			if itSp != nil {
-				itSp.SetInt("delta("+p+")", n)
-				itSp.SetInt("acc("+p+")", int64(ev.d.TableRows(ev.tableOf(p))))
-			}
-		}
-		tcSp.End()
-		itSp.End()
-		if done {
-			for _, p := range node.Preds {
-				t0 := time.Now()
-				if err := ev.dropTable(newDelta[p]); err != nil {
-					return err
-				}
-				if err := ev.dropTable(delta[p]); err != nil {
-					return err
-				}
-				ns.TempTable += time.Since(t0)
-			}
-			return nil
-		}
-		// Accumulate deltas and advance.
-		for _, p := range node.Preds {
-			t0 := time.Now()
-			if err := ev.d.Exec(fmt.Sprintf("INSERT INTO %s SELECT * FROM %s",
-				ev.tableOf(p), newDelta[p])); err != nil {
-				return err
-			}
-			if err := ev.dropTable(delta[p]); err != nil {
-				return err
-			}
-			ns.TempTable += time.Since(t0)
-			delta[p] = newDelta[p]
-		}
-	}
+	l.Rules = node.Rules()
+	return ev.runLoop(l, ns, sp)
 }
 
-// termDiffPartitioned counts tuples of newName absent from oldName —
-// the naive termination set difference — Go-side, hash-range
-// partitioned across the pool: partition k indexes only the old tuples
-// whose keys hash to k and probes only the matching new tuples, so the
-// partitions share nothing and run lock-free (the tcop.go hash-probe
-// idea applied to the general LFP path).
-func (ev *evaluator) termDiffPartitioned(newName, oldName string, ns *NodeStats) (int, error) {
+// hashDiff counts the tuples of newName absent from oldName, the naive
+// termination set difference, with the hash backend: dedup fills a
+// sharded set with the old relation, then admits only the new tuples.
+func (ev *evaluator) hashDiff(newName, oldName string, ns *NodeStats) (int, error) {
 	t0 := time.Now()
 	newRows, err := ev.d.Query("SELECT * FROM " + newName)
 	if err != nil {
@@ -300,47 +157,14 @@ func (ev *evaluator) termDiffPartitioned(newName, oldName string, ns *NodeStats)
 	if err != nil {
 		return 0, err
 	}
-	counts := make([]int, ev.parts)
-	ev.runJobs(ev.parts, func(part, _ int) {
-		old := make(map[string]bool)
-		for _, tu := range oldRows.Tuples {
-			if k := tu.Key(); tupleShard(k, ev.parts) == part {
-				old[k] = true
-			}
-		}
-		seen := make(map[string]bool)
-		for _, tu := range newRows.Tuples {
-			k := tu.Key()
-			if tupleShard(k, ev.parts) != part || old[k] || seen[k] {
-				continue
-			}
-			seen[k] = true
-			counts[part]++
-		}
-	})
 	ns.TermCheck += time.Since(t0)
+	acc := map[string]accSet{"": newAccSet(ev.parts)}
+	ev.dedup([]string{""}, [][]rel.Tuple{oldRows.Tuples}, acc, ns)
 	added := 0
-	for _, c := range counts {
-		added += c
+	for _, m := range ev.dedup([]string{""}, [][]rel.Tuple{newRows.Tuples}, acc, ns) {
+		added += len(m[""])
 	}
 	return added, nil
-}
-
-// cleanup drops every temp table created by the evaluator.
-func (ev *evaluator) cleanup() error {
-	var firstErr error
-	ev.mu.Lock()
-	tables := append([]string(nil), ev.created...)
-	ev.mu.Unlock()
-	for _, t := range tables {
-		if err := ev.dropTable(t); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	ev.mu.Lock()
-	ev.created = nil
-	ev.mu.Unlock()
-	return firstErr
 }
 
 // seedTuplesValid verifies seed arity/type against schemas before any

@@ -1,13 +1,11 @@
 package rtlib
 
 import (
-	"fmt"
 	"hash/fnv"
 	"runtime"
 	"sync"
 	"time"
 
-	"dkbms/internal/codegen"
 	"dkbms/internal/obs"
 	"dkbms/internal/rel"
 )
@@ -89,7 +87,7 @@ func (ev *evaluator) parallelSelects(sqls, labels []string, ns *NodeStats, sp *o
 			jobSp = sp.Start(labels[i])
 			jobSp.SetInt("sched.worker", int64(worker))
 		}
-		rows, err := ev.d.QueryTracedCtx(ev.evalCtx(), sqls[i], jobSp)
+		rows, err := ev.d.QueryTracedCtx(evalCtx(ev.ctx), sqls[i], jobSp)
 		jobSp.End()
 		if err != nil {
 			errs[i] = err
@@ -109,29 +107,15 @@ func (ev *evaluator) parallelSelects(sqls, labels []string, ns *NodeStats, sp *o
 // accSet is one predicate's accumulated-tuple index, sharded by hash
 // range: shard k holds exactly the keys tupleShard assigns to k, so a
 // partitioned dedup pass owns its shard exclusively and runs without
-// locks. count is the total across shards.
-type accSet struct {
-	shards []map[string]bool
-	count  int
-}
+// locks.
+type accSet []map[string]bool
 
-func newAccSet(parts int) *accSet {
-	s := &accSet{shards: make([]map[string]bool, parts)}
-	for i := range s.shards {
-		s.shards[i] = make(map[string]bool)
+func newAccSet(parts int) accSet {
+	s := make(accSet, parts)
+	for i := range s {
+		s[i] = make(map[string]bool)
 	}
 	return s
-}
-
-// add inserts a key (serial use); reports whether it was new.
-func (s *accSet) add(key string) bool {
-	m := s.shards[tupleShard(key, len(s.shards))]
-	if m[key] {
-		return false
-	}
-	m[key] = true
-	s.count++
-	return true
 }
 
 // dedup filters the raw differential results down to genuinely new
@@ -142,7 +126,7 @@ func (s *accSet) add(key string) bool {
 // partition 0's slot ordering (same hash shards, so correctness is
 // unaffected); large ones fan one task per shard onto the pool, each
 // task probing and updating only its own shard — lock-free.
-func (ev *evaluator) dedup(heads []string, results [][]rel.Tuple, acc map[string]*accSet, ns *NodeStats) []map[string][]rel.Tuple {
+func (ev *evaluator) dedup(heads []string, results [][]rel.Tuple, acc map[string]accSet, ns *NodeStats) []map[string][]rel.Tuple {
 	parts := ev.parts
 	out := make([]map[string][]rel.Tuple, parts)
 	for p := range out {
@@ -157,7 +141,9 @@ func (ev *evaluator) dedup(heads []string, results [][]rel.Tuple, acc map[string
 		for i, rows := range results {
 			a := acc[heads[i]]
 			for _, tu := range rows {
-				if a.add(tu.Key()) {
+				k := tu.Key()
+				if m := a[tupleShard(k, parts)]; !m[k] {
+					m[k] = true
 					out[0][heads[i]] = append(out[0][heads[i]], tu)
 				}
 			}
@@ -180,7 +166,7 @@ func (ev *evaluator) dedup(heads []string, results [][]rel.Tuple, acc map[string
 	})
 	ev.runJobs(parts, func(p, _ int) {
 		for i, rows := range results {
-			m := acc[heads[i]].shards[p]
+			m := acc[heads[i]][p]
 			for j, tu := range rows {
 				if int(shards[i][j]) != p {
 					continue
@@ -194,262 +180,104 @@ func (ev *evaluator) dedup(heads []string, results [][]rel.Tuple, acc map[string
 			}
 		}
 	})
-	for _, a := range acc {
-		n := 0
-		for _, m := range a.shards {
-			n += len(m)
-		}
-		a.count = n
-	}
 	ns.TermCheck += time.Since(t0)
 	return out
 }
 
-// deltaRelation materializes one predicate's per-iteration delta in the
-// DBMS, optionally split into hash-range partition tables so each
-// differential SELECT over a large delta becomes parts independent
-// jobs (conclusion 7a taken inside a single rule application).
-type deltaRelation struct {
-	pred   string
-	names  []string // partition tables, created lazily; names[0] first
-	dirty  []bool   // partition holds rows from the previous fill
-	active []string // partitions holding the current delta
+// hashBackend is the delta loop's Go-side dedup (Options.Parallel), the
+// paper's conclusions 6b and 7a realized on the bounded scheduler. A
+// round's firings run as concurrent SELECTs (reads only: the engine's
+// buffer pool and indexes are safe for concurrent readers), and their
+// results are deduplicated against a sharded Go-side accumulator index
+// instead of the SQL set differences the paper laments. Large deltas
+// are split into hash-range partition tables, so one rule's
+// differential becomes several independent jobs.
+type hashBackend struct {
+	r       *loopRun
+	ev      *evaluator
+	acc     map[string]accSet
+	k       int
+	heads   []string      // head predicate of each results entry
+	results [][]rel.Tuple // round k's raw tuples
+	byShard []map[string][]rel.Tuple
 }
 
-// fill installs the iteration's delta tuples (grouped by shard, as
-// dedup returns them) into partition tables. Small deltas collapse into
-// partition 0 — one differential per rule occurrence, as before; large
-// ones occupy one table per non-empty shard.
-func (ev *evaluator) fillDelta(dr *deltaRelation, byShard []map[string][]rel.Tuple, ns *NodeStats) error {
-	total := 0
-	for _, m := range byShard {
-		total += len(m[dr.pred])
-	}
-	split := ev.parts > 1 && total >= partitionThreshold
-	// Clear previously used partitions.
-	t0 := time.Now()
-	for i, d := range dr.dirty {
-		if d {
-			if err := ev.d.Exec("DELETE FROM " + dr.names[i]); err != nil {
-				return err
-			}
-			dr.dirty[i] = false
+func (b *hashBackend) fire(k int, fs []Firing, seeds map[string][]rel.Tuple, sp *obs.Span) error {
+	r := b.r
+	if b.acc == nil {
+		b.acc = make(map[string]accSet, len(r.Preds))
+		for _, p := range r.Preds {
+			b.acc[p] = newAccSet(b.ev.parts)
 		}
 	}
-	ns.TempTable += time.Since(t0)
-	dr.active = dr.active[:0]
-	install := func(part int, tuples []rel.Tuple) error {
-		if len(tuples) == 0 {
-			return nil
-		}
-		for len(dr.names) <= part {
-			name := fmt.Sprintf("%spdelta%d_%s", ev.prefix, len(dr.names), sanitize(dr.pred))
-			t0 := time.Now()
-			if err := ev.createTable(name, ev.prog.Schemas[dr.pred]); err != nil {
-				return err
-			}
-			ns.TempTable += time.Since(t0)
-			dr.names = append(dr.names, name)
-			dr.dirty = append(dr.dirty, false)
-		}
-		if err := ev.d.InsertTuples(dr.names[part], tuples); err != nil {
-			return err
-		}
-		dr.dirty[part] = true
-		dr.active = append(dr.active, dr.names[part])
-		return nil
-	}
-	if !split {
-		var all []rel.Tuple
-		for _, m := range byShard {
-			all = append(all, m[dr.pred]...)
-		}
-		return install(0, all)
-	}
-	for part, m := range byShard {
-		if err := install(part, m[dr.pred]); err != nil {
-			return err
+	sp.SetInt("sched.partitions", int64(b.ev.parts))
+	b.k, b.heads, b.results = k, nil, nil
+	for _, p := range r.Preds {
+		if len(seeds[p]) > 0 {
+			b.heads = append(b.heads, p)
+			b.results = append(b.results, seeds[p])
 		}
 	}
-	return nil
-}
-
-// evalCliqueSemiNaiveParallel is the paper's conclusion 7a realized on
-// the bounded scheduler: every differential SELECT of an iteration runs
-// concurrently (reads only — the engine's buffer pool and indexes are
-// safe for concurrent readers); large deltas are hash-range partitioned
-// so a single rule's differential splits across workers; and the new
-// tuples are deduplicated against a sharded Go-side accumulator index —
-// per-partition hash sets merged lock-free — instead of the SQL set
-// differences the paper laments (conclusion 6b). Results are identical
-// to the sequential semi-naive loop.
-func (ev *evaluator) evalCliqueSemiNaiveParallel(node *codegen.Node, seeds map[string][]rel.Tuple, ns *NodeStats, sp *obs.Span) error {
-	for _, p := range node.Preds {
-		if err := ev.createPredTable(p, seeds, ns); err != nil {
-			return err
-		}
+	sqls := make([]string, len(fs))
+	labels := make([]string, len(fs))
+	for i, f := range fs {
+		sqls[i] = f.sql(r.Read)
+		labels[i] = "rule " + f.Rule.Head
+		b.heads = append(b.heads, f.Rule.Head)
 	}
-	var zeroSp *obs.Span
-	if sp != nil {
-		zeroSp = sp.Start("iteration 0")
-		zeroSp.SetInt("sched.partitions", int64(ev.parts))
-	}
-	initLabels := make([]string, len(node.ExitRules))
-	initHeads := make([]string, len(node.ExitRules))
-	for i := range node.ExitRules {
-		initLabels[i] = "rule " + node.ExitRules[i].Head
-		initHeads[i] = node.ExitRules[i].Head
-	}
-	// Initialization: exit rules, evaluated concurrently as well.
-	initRows, err := ev.parallelSelects(selectsFor(node.ExitRules, func(r *codegen.RuleSQL) []string {
-		tables := make([]string, len(r.From))
-		for i, f := range r.From {
-			tables[i] = ev.tableOf(f.Pred)
-		}
-		return tables
-	}), initLabels, ns, zeroSp)
+	rows, err := b.ev.parallelSelects(sqls, labels, r.ns, sp)
 	if err != nil {
 		return err
 	}
-	// acc tracks accumulated tuples per predicate, Go-side and sharded,
-	// so deduplication needs no SQL set differences.
-	acc := make(map[string]*accSet, len(node.Preds))
-	for _, p := range node.Preds {
-		acc[p] = newAccSet(ev.parts)
-		for _, tu := range seeds[p] {
-			acc[p].add(tu.Key())
-		}
-	}
-	byShard := ev.dedup(initHeads, initRows, acc, ns)
-	// Install the deduplicated exit-rule tuples (seeds are already in
-	// the predicate tables from createPredTable).
-	for _, p := range node.Preds {
-		var fresh []rel.Tuple
-		for _, m := range byShard {
-			fresh = append(fresh, m[p]...)
-		}
-		if err := ev.d.InsertTuples(ev.tableOf(p), fresh); err != nil {
-			return err
-		}
-		// Seeds are part of the initial delta too.
-		if len(seeds[p]) > 0 {
-			byShard[0][p] = append(byShard[0][p], seeds[p]...)
-		}
-		if zeroSp != nil {
-			zeroSp.SetInt("delta("+p+")", int64(len(fresh)+len(seeds[p])))
-		}
-	}
-	zeroSp.End()
-
-	// Delta relations are still materialized in the DBMS because the
-	// differential SELECTs read them — partitioned by hash range when
-	// large.
-	deltas := make(map[string]*deltaRelation, len(node.Preds))
-	for _, p := range node.Preds {
-		deltas[p] = &deltaRelation{pred: p}
-		if err := ev.fillDelta(deltas[p], byShard, ns); err != nil {
-			return err
-		}
-	}
-
-	type job struct {
-		head string
-		sql  string
-	}
-	for {
-		if err := ev.checkCtx(); err != nil {
-			return err
-		}
-		ns.Iterations++
-		var itSp *obs.Span
-		if sp != nil {
-			itSp = sp.Start(fmt.Sprintf("iteration %d", ns.Iterations))
-		}
-		// One job per (recursive rule, clique occurrence, active delta
-		// partition of that occurrence's predicate): the union over
-		// partitions is the full differential, since the occurrence is
-		// linear in the delta.
-		var jobs []job
-		for i := range node.RecursiveRules {
-			r := &node.RecursiveRules[i]
-			for _, occ := range r.CliqueOccs {
-				for _, part := range deltas[r.From[occ].Pred].active {
-					tables := make([]string, len(r.From))
-					for fi, f := range r.From {
-						if fi == occ {
-							tables[fi] = part
-						} else {
-							tables[fi] = ev.tableOf(f.Pred)
-						}
-					}
-					jobs = append(jobs, job{head: r.Head, sql: r.SQLWithTables(tables)})
-				}
-			}
-		}
-		sqls := make([]string, len(jobs))
-		labels := make([]string, len(jobs))
-		heads := make([]string, len(jobs))
-		for i, j := range jobs {
-			sqls[i] = j.sql
-			labels[i] = "rule " + j.head
-			heads[i] = j.head
-		}
-		results, err := ev.parallelSelects(sqls, labels, ns, itSp)
-		if err != nil {
-			return err
-		}
-		byShard := ev.dedup(heads, results, acc, ns)
-		newCount := make(map[string]int, len(node.Preds))
-		for _, p := range node.Preds {
-			var fresh []rel.Tuple
-			for _, m := range byShard {
-				fresh = append(fresh, m[p]...)
-			}
-			newCount[p] = len(fresh)
-			if err := ev.d.InsertTuples(ev.tableOf(p), fresh); err != nil {
-				return err
-			}
-		}
-		// Termination: all deltas empty (a map-size check; the paper's
-		// expensive SQL set difference is gone, which is conclusion 6b).
-		t0 := time.Now()
-		done := true
-		for _, p := range node.Preds {
-			if newCount[p] > 0 {
-				done = false
-			}
-			if itSp != nil {
-				itSp.SetInt("delta("+p+")", int64(newCount[p]))
-				itSp.SetInt("acc("+p+")", int64(acc[p].count))
-			}
-		}
-		ns.TermCheck += time.Since(t0)
-		itSp.End()
-		if done {
-			for _, p := range node.Preds {
-				t0 := time.Now()
-				for _, name := range deltas[p].names {
-					if err := ev.dropTable(name); err != nil {
-						return err
-					}
-				}
-				ns.TempTable += time.Since(t0)
-			}
-			return nil
-		}
-		for _, p := range node.Preds {
-			if err := ev.fillDelta(deltas[p], byShard, ns); err != nil {
-				return err
-			}
-		}
-	}
+	b.results = append(b.results, rows...)
+	return nil
 }
 
-// selectsFor renders rule SELECTs with a table-choice function.
-func selectsFor(rules []codegen.RuleSQL, tables func(*codegen.RuleSQL) []string) []string {
-	out := make([]string, len(rules))
-	for i := range rules {
-		out[i] = rules[i].SQLWithTables(tables(&rules[i]))
+func (b *hashBackend) check() (map[string]int, error) {
+	b.byShard = b.ev.dedup(b.heads, b.results, b.acc, b.r.ns)
+	counts := make(map[string]int)
+	for _, m := range b.byShard {
+		for p, tus := range m {
+			counts[p] += len(tus)
+		}
 	}
-	return out
+	return counts, nil
+}
+
+func (b *hashBackend) promote(counts map[string]int) (map[string][]string, error) {
+	r := b.r
+	cur := make(map[string][]string)
+	for _, p := range r.Preds {
+		if counts[p] == 0 {
+			continue
+		}
+		groups := make([][]rel.Tuple, 1, len(b.byShard))
+		for _, m := range b.byShard {
+			groups[0] = append(groups[0], m[p]...)
+		}
+		if err := r.d.InsertTuples(r.Acc[p], groups[0]); err != nil {
+			return nil, err
+		}
+		if b.ev.parts > 1 && counts[p] >= partitionThreshold {
+			groups = groups[:0]
+			for _, m := range b.byShard {
+				groups = append(groups, m[p])
+			}
+		}
+		for part, tus := range groups {
+			if len(tus) == 0 {
+				continue
+			}
+			t, err := r.temps.Create(r.d, deltaName(b.k, part, p), r.Schemas[p])
+			if err != nil {
+				return nil, err
+			}
+			if err := r.d.InsertTuples(t, tus); err != nil {
+				return nil, err
+			}
+			cur[p] = append(cur[p], t)
+		}
+	}
+	b.heads, b.results, b.byShard = nil, nil, nil
+	return cur, nil
 }

@@ -7,16 +7,25 @@
 //
 //   - naive evaluation: each iteration recomputes f(R) from scratch into
 //     a fresh table and terminates when no new tuple appeared;
-//   - semi-naive evaluation: the differential approach — each recursive
-//     rule is evaluated once per clique occurrence with that occurrence
-//     reading the delta relation, and only genuinely new tuples extend
-//     the result.
+//   - semi-naive evaluation: the differential approach, run by the one
+//     delta loop of this package (Loop). Round 0 fires the exit rules;
+//     every later round fires each rule once per FROM position whose
+//     predicate is in the delta-predicate set and has a non-empty delta,
+//     keeps only tuples absent from the accumulator, and promotes them.
 //
-// Exactly as the paper laments, everything runs over plain SQL: temp
-// tables are created and dropped per iteration, termination checks are
-// set differences, and accumulated relations are copied — the library
-// instruments those costs (Stats) because they are the subject of the
-// paper's Tests 5–7.
+// The delta loop is also what the materialized-view layer runs: insert
+// maintenance seeds it with base-table deltas, and Delete-and-Rederive's
+// over-delete phase runs it against the pre-state. Its dedup is one of
+// two backends: the SQL backend (INSERT ... EXCEPT acc EXCEPT next, the
+// default, as in the paper) or, under Options.Parallel, the hash
+// backend, which runs a round's SELECTs concurrently and deduplicates
+// against sharded Go-side sets.
+//
+// Exactly as the paper laments, the SQL path runs everything over plain
+// SQL: temp tables are created and dropped per round, termination
+// checks are set differences or counts, and accumulated relations are
+// copied. The library instruments those costs (Stats) because they are
+// the subject of the paper's Tests 5–7.
 package rtlib
 
 import (
@@ -125,25 +134,24 @@ func (r *Result) Cleanup() error {
 	if r.ev == nil {
 		return nil
 	}
-	err := r.ev.cleanup()
+	err := r.ev.temps.DropAll(r.ev.d)
 	r.ev = nil
 	return err
 }
 
 // Detach transfers ownership of the evaluation's derived relations to
-// the caller: the predicate→temp-table map and the list of tables to
-// drop eventually (the materialized-view layer wraps them and maintains
+// the caller: the predicate→temp-table map and the registry that drops
+// them eventually (the materialized-view layer wraps them and maintains
 // them in place). After Detach, Cleanup is a no-op; both return nil
-// maps unless the evaluation ran with Options.KeepTables. The
-// evaluation is complete by the time a Result exists, so no lock is
-// needed.
-func (r *Result) Detach() (tables map[string]string, created []string) {
+// unless the evaluation ran with Options.KeepTables. The evaluation is
+// complete by the time a Result exists, so no lock is needed.
+func (r *Result) Detach() (tables map[string]string, temps *Temps) {
 	if r.ev == nil {
 		return nil, nil
 	}
 	ev := r.ev
 	r.ev = nil
-	return ev.tables, ev.created
+	return ev.tables, ev.temps
 }
 
 // runSeq distinguishes concurrent evaluations' temp table names within
@@ -163,7 +171,7 @@ func Evaluate(d *db.DB, prog *codegen.Program, opts Options) (*Result, error) {
 		d:      d,
 		prog:   prog,
 		opts:   opts,
-		prefix: fmt.Sprintf("dkb%d_", seq),
+		temps:  NewTemps(fmt.Sprintf("dkb%d_", seq)),
 		tables: make(map[string]string),
 		ctx:    opts.Ctx,
 		parts:  1,
@@ -186,11 +194,11 @@ func Evaluate(d *db.DB, prog *codegen.Program, opts Options) (*Result, error) {
 	res, err := ev.run()
 	if err != nil {
 		// Best-effort teardown on failure.
-		ev.cleanup()
+		ev.temps.DropAll(ev.d)
 		return nil, err
 	}
 	if !opts.KeepTables {
-		if err := ev.cleanup(); err != nil {
+		if err := ev.temps.DropAll(ev.d); err != nil {
 			return nil, err
 		}
 	} else {
@@ -200,47 +208,23 @@ func Evaluate(d *db.DB, prog *codegen.Program, opts Options) (*Result, error) {
 }
 
 type evaluator struct {
-	d      *db.DB
-	prog   *codegen.Program
-	opts   Options
-	prefix string
-	// mu guards tables and created: the stratum wavefront evaluates
-	// independent nodes concurrently, and each registers the temp
-	// tables it creates.
+	d     *db.DB
+	prog  *codegen.Program
+	opts  Options
+	temps *Temps
+	// mu guards tables: the stratum wavefront evaluates independent
+	// nodes concurrently, and each registers its predicates' tables.
 	mu sync.Mutex
 	// tables maps derived predicates to their temp table names. Base
 	// predicates map to themselves.
-	tables  map[string]string
-	created []string // temp tables to drop at cleanup
-	stats   Stats
-	ctx     context.Context
+	tables map[string]string
+	stats  Stats
+	ctx    context.Context
 	// client is the evaluation's admission handle on the shared worker
 	// pool (nil without one); parts is the hash-range partition count
 	// for dedup/termcheck/delta partitioning (1 = no partitioning).
 	client *sched.Client
 	parts  int
-}
-
-// checkCtx polls the run's context (nil = never canceled). It is the
-// LFP iteration-boundary cancellation point.
-func (ev *evaluator) checkCtx() error {
-	if ev.ctx == nil {
-		return nil
-	}
-	if err := ev.ctx.Err(); err != nil {
-		return fmt.Errorf("rtlib: evaluation canceled: %w", err)
-	}
-	return nil
-}
-
-// evalCtx returns the run's context for statement-level cancellation
-// (rule INSERT ... SELECTs and differential SELECTs observe it between
-// tuples), or Background when the run has none.
-func (ev *evaluator) evalCtx() context.Context {
-	if ev.ctx == nil {
-		return context.Background()
-	}
-	return ev.ctx
 }
 
 // tableOf resolves a predicate to its current relation name: the temp
@@ -301,7 +285,7 @@ func (ev *evaluator) run() (*Result, error) {
 		}
 	} else {
 		for i := range ev.prog.Nodes {
-			if err := ev.checkCtx(); err != nil {
+			if err := ctxErr(ev.ctx); err != nil {
 				return nil, err
 			}
 			if err := ev.evalNode(i, seeds, evalSp, -1); err != nil {
@@ -355,17 +339,13 @@ func (ev *evaluator) evalNode(i int, seeds map[string][]rel.Tuple, evalSp *obs.S
 	}
 	nodeStart := time.Now()
 	var err error
-	if node.Recursive {
-		switch {
-		case ev.opts.Strategy == Naive:
-			err = ev.evalCliqueNaive(node, seeds, ns, sp)
-		case ev.opts.Parallel:
-			err = ev.evalCliqueSemiNaiveParallel(node, seeds, ns, sp)
-		default:
-			err = ev.evalCliqueSemiNaive(node, seeds, ns, sp)
-		}
-	} else {
+	switch {
+	case !node.Recursive:
 		err = ev.evalNonRecursive(node, seeds, ns, sp)
+	case ev.opts.Strategy == Naive:
+		err = ev.evalCliqueNaive(node, seeds, ns, sp)
+	default:
+		err = ev.evalClique(node, seeds, ns, sp)
 	}
 	if err != nil {
 		return err
@@ -410,7 +390,7 @@ func (ev *evaluator) runWavefront(seeds map[string][]rel.Tuple, evalSp *obs.Span
 			if failed {
 				return
 			}
-			err := ev.checkCtx()
+			err := ctxErr(ev.ctx)
 			if err == nil {
 				err = ev.evalNode(i, seeds, evalSp, worker)
 			}
@@ -444,51 +424,16 @@ func (ev *evaluator) runWavefront(seeds map[string][]rel.Tuple, evalSp *obs.Span
 // createPredTable creates the temp table for a derived predicate and
 // registers it, inserting any seeds.
 func (ev *evaluator) createPredTable(pred string, seeds map[string][]rel.Tuple, ns *NodeStats) error {
-	name := ev.prefix + sanitize(pred)
 	t0 := time.Now()
-	if err := ev.createTable(name, ev.prog.Schemas[pred]); err != nil {
+	name, err := ev.temps.Create(ev.d, sanitize(pred), ev.prog.Schemas[pred])
+	ns.TempTable += time.Since(t0)
+	if err != nil {
 		return err
 	}
-	ns.TempTable += time.Since(t0)
 	ev.mu.Lock()
 	ev.tables[pred] = name
 	ev.mu.Unlock()
 	return ev.d.InsertTuples(name, seeds[pred])
-}
-
-func (ev *evaluator) createTable(name string, schema *rel.Schema) error {
-	if schema == nil {
-		return fmt.Errorf("rtlib: no schema for temp table %s", name)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "CREATE TEMP TABLE %s (", name)
-	for i := 0; i < schema.Len(); i++ {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		c := schema.Col(i)
-		fmt.Fprintf(&b, "%s %s", c.Name, c.Type.String())
-	}
-	b.WriteByte(')')
-	if err := ev.d.Exec(b.String()); err != nil {
-		return err
-	}
-	ev.mu.Lock()
-	ev.created = append(ev.created, name)
-	ev.mu.Unlock()
-	return nil
-}
-
-func (ev *evaluator) dropTable(name string) error {
-	ev.mu.Lock()
-	for i, t := range ev.created {
-		if t == name {
-			ev.created = append(ev.created[:i], ev.created[i+1:]...)
-			break
-		}
-	}
-	ev.mu.Unlock()
-	return ev.d.Exec("DROP TABLE " + name)
 }
 
 // evalNonRecursive evaluates a non-recursive predicate node: union of
@@ -499,25 +444,19 @@ func (ev *evaluator) evalNonRecursive(node *codegen.Node, seeds map[string][]rel
 			return err
 		}
 	}
-	for i := range node.ExitRules {
-		r := &node.ExitRules[i]
-		target := ev.tableOf(r.Head)
-		var ruleSp *obs.Span
-		if sp != nil {
-			ruleSp = sp.Start("rule " + r.Head)
-			ruleSp.SetString("src", r.Source)
+	for _, r := range node.Rules() {
+		if err := ev.insertRule(ev.tableOf(r.Head), r, ns, sp); err != nil {
+			return err
 		}
-		t0 := time.Now()
-		stmt := fmt.Sprintf("INSERT INTO %s %s EXCEPT SELECT * FROM %s",
-			target, r.SQL(ev.tableOf), target)
-		if err := ev.d.ExecTracedCtx(ev.evalCtx(), stmt, ruleSp); err != nil {
-			return fmt.Errorf("rtlib: rule %q: %w", r.Source, err)
-		}
-		ruleSp.End()
-		ns.Eval += time.Since(t0)
 	}
 	ns.Iterations = 1
 	return nil
+}
+
+// insertRule adds the rule's tuples that target lacks to target.
+func (ev *evaluator) insertRule(target string, r *codegen.RuleSQL, ns *NodeStats, sp *obs.Span) error {
+	stmt := fmt.Sprintf("INSERT INTO %s %s EXCEPT SELECT * FROM %s", target, r.SQL(ev.tableOf), target)
+	return execRule(ev.d, ev.ctx, r, stmt, ns, sp)
 }
 
 // sanitize maps predicate names injectively onto SQL identifier bodies:

@@ -297,3 +297,53 @@ func seedsFor(pred string, vals ...string) []codegen.SeedFact {
 	}
 	return out
 }
+
+// TestDeltaPositions pins the FROM positions the delta loop
+// differentiates: exactly those whose predicate has delta tables, once
+// per table. A linear rule fires at its one recursive position, a
+// non-linear rule at both.
+func TestDeltaPositions(t *testing.T) {
+	rule := func(src string) *codegen.RuleSQL {
+		rs, err := codegen.CompileRule(dlog.MustParseClause(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &rs
+	}
+	deltasOf := func(tables ...string) func(string) []string {
+		return func(pred string) []string {
+			if pred == "anc" {
+				return tables
+			}
+			return nil
+		}
+	}
+	positions := func(fs []Firing) string {
+		var out []string
+		for _, f := range fs {
+			out = append(out, fmt.Sprintf("%d:%s", f.Pos, f.Delta))
+		}
+		return strings.Join(out, " ")
+	}
+	linear := rule("anc(X, Y) :- parent(X, Z), anc(Z, Y).")
+	nonlinear := rule("anc(X, Y) :- anc(X, Z), anc(Z, Y).")
+	for _, c := range []struct {
+		name   string
+		rule   *codegen.RuleSQL
+		deltas func(string) []string
+		want   string
+	}{
+		{"linear", linear, deltasOf("d"), "1:d"},
+		{"nonlinear", nonlinear, deltasOf("d"), "0:d 1:d"},
+		{"empty delta", nonlinear, deltasOf(), ""},
+		{"partitioned", linear, deltasOf("d0", "d1"), "1:d0 1:d1"},
+	} {
+		if got := positions(deltaFirings([]*codegen.RuleSQL{c.rule}, c.deltas)); got != c.want {
+			t.Errorf("%s: firings %q, want %q", c.name, got, c.want)
+		}
+	}
+	f := Firing{Rule: linear, Pos: 1, Delta: "delta_anc"}
+	if got := f.sql(func(p string) string { return "acc_" + p }); !strings.Contains(got, "FROM acc_parent t0, delta_anc t1") {
+		t.Fatalf("firing SQL: %q", got)
+	}
+}

@@ -2,9 +2,13 @@ package dkbms
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
+
+	"dkbms/internal/dlog"
+	"dkbms/internal/rel"
 )
 
 // coldKey re-derives the query from scratch (bypassing any memo by
@@ -388,4 +392,122 @@ func TestMatViewMaintenanceStorm(t *testing.T) {
 		t.Fatalf("maintained final state diverged from cold re-derivation:\n got %s\nwant %s", got, want)
 	}
 	_ = maintained // informational; may be 0 on fast machines where toggles outpace reads
+}
+
+// TestMatViewMaintenanceAgainstReference drives seeded random fact
+// commits through maintained views and checks every memoized answer
+// against the reference interpreter after each commit, under the
+// Incremental and Auto policies. Programs and facts come from
+// genProgram; each commit inserts a batch of new facts or retracts by
+// a ground, half-bound or open pattern, so batch sizes fall on both
+// sides of AutoIncremental's crossover. Queries include bound ones,
+// whose magic seeds DRed must protect. Only commits that succeed are
+// generated: a commit failing halfway is the all-or-nothing commit
+// item of the ROADMAP, not view maintenance.
+func TestMatViewMaintenanceAgainstReference(t *testing.T) {
+	r := rand.New(rand.NewSource(20261017))
+	trials, steps := 12, 14
+	if testing.Short() {
+		trials = 4
+	}
+	consts := []string{"a", "b", "c", "d", "g", "h"}
+	batches := []int{1, 1, 2, 3, 5, 17, 24}
+	for trial := 0; trial < trials; trial++ {
+		rules, initial := genProgram(r, 2, 1+r.Intn(3))
+		var queries []dlog.Query
+		seen := make(map[string]bool)
+		for _, c := range rules {
+			if p := c.Head.Pred; !seen[p] {
+				seen[p] = true
+				queries = append(queries,
+					dlog.Query{Goals: []dlog.Atom{dlog.NewAtom(p, dlog.V("O1"), dlog.V("O2"))}},
+					dlog.Query{Goals: []dlog.Atom{dlog.NewAtom(p, dlog.CStr("a"), dlog.V("O"))}})
+			}
+		}
+		for _, policy := range []MaintenancePolicy{MaintIncremental, MaintAuto} {
+			name := fmt.Sprintf("trial %d %v", trial, policy)
+			facts := make(map[string]map[string]rel.Tuple)
+			var src strings.Builder
+			for pred, tus := range initial {
+				facts[pred] = make(map[string]rel.Tuple)
+				for _, tu := range tus {
+					facts[pred][tu.Key()] = tu
+					fmt.Fprintf(&src, "%s.\n", dlog.NewAtom(pred, dlog.C(tu[0]), dlog.C(tu[1])))
+				}
+			}
+			src.WriteString(programText(rules))
+			c := NewConcurrent(NewMemory())
+			if err := c.Load(src.String()); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			opts := &QueryOptions{Maintenance: policy}
+			maintained := 0
+			check := func(step int) {
+				model := make(map[string][]rel.Tuple, len(facts))
+				for pred, m := range facts {
+					for _, tu := range m {
+						model[pred] = append(model[pred], tu)
+					}
+				}
+				for _, q := range queries {
+					res, err := c.Query(q.String(), opts)
+					if err != nil {
+						t.Fatalf("%s step %d %s: %v", name, step, q, err)
+					}
+					if res.Cache == "maintained" {
+						maintained++
+					}
+					got := strings.Join(rowSet(res.Rows), "|")
+					if want := strings.Join(refAnswer(q, rules, model), "|"); got != want {
+						t.Fatalf("%s step %d %s (cache %s): maintained answer disagrees with reference\nprogram:\n%s got: %s\nwant: %s",
+							name, step, q, res.Cache, programText(rules), got, want)
+					}
+				}
+			}
+			check(0)
+			for step := 1; step <= steps; step++ {
+				pred := fmt.Sprintf("e%d", r.Intn(2))
+				if r.Intn(2) == 0 {
+					// Insert a batch of facts not yet present.
+					var batch strings.Builder
+					for i, n := 0, batches[r.Intn(len(batches))]; i < n; i++ {
+						tu := rel.Tuple{rel.NewString(consts[r.Intn(len(consts))]), rel.NewString(consts[r.Intn(len(consts))])}
+						if _, ok := facts[pred][tu.Key()]; ok {
+							continue
+						}
+						facts[pred][tu.Key()] = tu
+						fmt.Fprintf(&batch, "%s.\n", dlog.NewAtom(pred, dlog.C(tu[0]), dlog.C(tu[1])))
+					}
+					if err := c.Load(batch.String()); err != nil {
+						t.Fatalf("%s step %d: load: %v", name, step, err)
+					}
+				} else {
+					// Retract by a ground, half-bound or open pattern.
+					pat := dlog.NewAtom(pred, dlog.V("X"), dlog.V("Y"))
+					switch r.Intn(3) {
+					case 0:
+						pat.Args[0] = dlog.CStr(consts[r.Intn(len(consts))])
+						pat.Args[1] = dlog.CStr(consts[r.Intn(len(consts))])
+					case 1:
+						pat.Args[0] = dlog.CStr(consts[r.Intn(len(consts))])
+					}
+					if _, err := c.Retract(pat); err != nil {
+						t.Fatalf("%s step %d: retract %s: %v", name, step, pat, err)
+					}
+					for k, tu := range facts[pred] {
+						if (!pat.Args[0].IsVar() && !rel.Equal(pat.Args[0].Val, tu[0])) ||
+							(!pat.Args[1].IsVar() && !rel.Equal(pat.Args[1].Val, tu[1])) {
+							continue
+						}
+						delete(facts[pred], k)
+					}
+				}
+				check(step)
+			}
+			if st := c.MatViewStats(); st.Errors != 0 || maintained == 0 {
+				t.Fatalf("%s: %d maintained answers, stats %+v", name, maintained, st)
+			}
+			c.Close()
+		}
+	}
 }

@@ -3,6 +3,7 @@ package dkbms
 import (
 	"context"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -26,10 +27,33 @@ func sumDeltas(root *obs.Span, pred string) (sum int64, loopIters int) {
 	return sum, loopIters
 }
 
+// deltaSeq lists the delta(pred) attribute of every iteration span, in
+// iteration order (the seed round first).
+func deltaSeq(root *obs.Span, pred string) string {
+	var seq []string
+	for _, it := range root.FindAll("iteration ") {
+		if d, ok := it.Int("delta(" + pred + ")"); ok {
+			seq = append(seq, strconv.FormatInt(d, 10))
+		}
+	}
+	return strings.Join(seq, " ")
+}
+
+// sameRounds checks that the SQL and hash dedup backends of the delta
+// loop produce the same delta cardinality in every round.
+func sameRounds(t *testing.T, seqs map[string]string) {
+	t.Helper()
+	if seqs["semi-naive"] == "" || seqs["semi-naive"] != seqs["parallel"] {
+		t.Errorf("per-round deltas differ between backends:\nsemi-naive: %s\nparallel:   %s",
+			seqs["semi-naive"], seqs["parallel"])
+	}
+}
+
 // TestTraceAncestorIterations pins the trace against the known answers
 // of EXPERIMENTS.md Test 6: ancestor on a 1022-edge full binary tree
-// reaches fixpoint in 10 naive / 9 semi-naive iterations, and the
-// per-iteration delta cardinalities sum to the closure size.
+// reaches fixpoint in 10 naive / 9 semi-naive iterations, the
+// per-iteration delta cardinalities sum to the closure size, and the
+// SQL (semi-naive) and hash (parallel) backends agree round by round.
 func TestTraceAncestorIterations(t *testing.T) {
 	tb := NewMemory()
 	defer tb.Close()
@@ -52,6 +76,7 @@ ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).
 		{"semi-naive", QueryOptions{NoOptimize: true, Trace: true}, 9},
 		{"parallel", QueryOptions{Parallel: true, NoOptimize: true, Trace: true}, 9},
 	}
+	seqs := make(map[string]string)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := tc.opts
@@ -66,6 +91,7 @@ ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).
 			if root == nil {
 				t.Fatal("Trace requested but absent from the result")
 			}
+			seqs[tc.name] = deltaSeq(root, "ancestor")
 			sum, iters := sumDeltas(root, "ancestor")
 			if iters != tc.iters {
 				t.Errorf("%d LFP iterations, want %d", iters, tc.iters)
@@ -79,6 +105,7 @@ ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).
 			}
 		})
 	}
+	sameRounds(t, seqs)
 }
 
 // TestTraceOperatorCounts checks the per-operator row counters: the
@@ -127,7 +154,8 @@ ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).
 
 // TestTraceSameGeneration runs the classic same-generation workload
 // with tracing under all three strategies and checks the delta-sum
-// invariant against the hand-computed closure (14 sg pairs).
+// invariant against the hand-computed closure (14 sg pairs), and that
+// both dedup backends produce the same rounds.
 func TestTraceSameGeneration(t *testing.T) {
 	tb := NewMemory()
 	defer tb.Close()
@@ -141,6 +169,7 @@ down(X, Y) :- up(Y, X).
 	// sg closure: (root,root); {a,b}x{a,b}; then {c,d,e} pairs sharing
 	// grandparent generation — 1 + 4 + 9 = 14 tuples.
 	const wantRows = 14
+	seqs := make(map[string]string)
 	for _, tc := range []struct {
 		name string
 		opts QueryOptions
@@ -158,6 +187,7 @@ down(X, Y) :- up(Y, X).
 			if len(res.Rows) != wantRows {
 				t.Fatalf("%d rows, want %d", len(res.Rows), wantRows)
 			}
+			seqs[tc.name] = deltaSeq(res.Trace.Root(), "sg")
 			sum, iters := sumDeltas(res.Trace.Root(), "sg")
 			if sum != wantRows {
 				t.Errorf("iteration deltas sum to %d, want %d:\n%s", sum, wantRows, res.Trace.Format())
@@ -167,6 +197,7 @@ down(X, Y) :- up(Y, X).
 			}
 		})
 	}
+	sameRounds(t, seqs)
 }
 
 // TestTraceOffByDefault: without the option no trace is built, and the
