@@ -9,11 +9,11 @@ import (
 
 	"dkbms/internal/catalog"
 	"dkbms/internal/core"
-	"dkbms/internal/db"
 	"dkbms/internal/dlog"
 	"dkbms/internal/matview"
 	"dkbms/internal/obs"
 	"dkbms/internal/rel"
+	"dkbms/internal/rtlib"
 	"dkbms/internal/sched"
 	"dkbms/internal/snapshot"
 	"dkbms/internal/storage"
@@ -196,15 +196,6 @@ func (c *ConcurrentTestbed) acquire() (*snapshot.Snapshot, error) {
 		return nil, ErrClosed
 	}
 	return s, nil
-}
-
-// view returns database and stored-manager views bound to the pinned
-// snapshot: every base-table resolution inside them lands on the
-// snapshot's frozen versions, while session-private temp tables fall
-// through to the live catalog.
-func (c *ConcurrentTestbed) view(s *snapshot.Snapshot) (*db.DB, *stored.Manager) {
-	vdb := c.tb.db.WithResolver(s)
-	return vdb, c.tb.st.WithDB(vdb)
 }
 
 // --- Write path: copy-on-write commits ---
@@ -488,113 +479,99 @@ func (c *ConcurrentTestbed) Query(src string, opts *QueryOptions) (*QueryResult,
 // LFP iteration boundaries (see Testbed.QueryContext). Traced queries
 // (opts.Trace) share compiled plans with untraced ones but bypass the
 // memoized-answer path in both directions, so a returned trace always
-// describes an evaluation that actually ran.
+// describes an evaluation that actually ran. It is the testbed's only
+// read path: prepared statements (Prepare) run through it too.
 func (c *ConcurrentTestbed) QueryContext(ctx context.Context, src string, opts *QueryOptions) (*QueryResult, error) {
 	if opts == nil {
 		opts = &QueryOptions{}
 	}
-	qid := opts.QueryID
-	if qid == 0 {
-		qid = obs.NewQueryID()
-	}
 	s, err := c.acquire()
 	if err != nil {
 		return nil, err
 	}
 	defer s.Release()
-	key := planKey{src: src, opts: *opts}
-	key.opts.Trace = false // the trace flag does not change the plan
-	key.opts.QueryID = 0   // neither does the per-request ID
-	compiled, cached, maintained := c.plans.lookup(key, s)
-	if cached != nil && !opts.Trace {
-		out := shareResult(cached)
-		out.Cache = "result"
-		if maintained {
-			out.Cache = "maintained"
-		}
-		out.Snapshot = s.Gen
-		out.QueryID = qid
-		return out, nil
-	}
-	cacheStatus := "miss"
-	if compiled != nil {
-		cacheStatus = "plan"
-	}
-	var tr *obs.Trace
-	if opts.Trace {
-		tr = obs.NewTrace("query")
-		tr.Root().SetInt("snapshot_gen", int64(s.Gen))
-		tr.Root().SetInt("query_id", int64(qid))
-	}
-	vdb, vst := c.view(s)
-	if compiled == nil {
-		q, err := dlog.ParseQuery(src)
-		if err != nil {
-			return nil, parseErr(err)
-		}
-		if compiled, err = c.tb.compileWith(s.WS(), vdb, vst, q, opts, tr); err != nil {
-			return nil, err
-		}
-	}
-	// A maintainable answer keeps its evaluation's derived relations:
-	// the view layer refreshes them (and the memo) through commits.
-	// Traced runs never publish answers, so they keep nothing.
-	policy := c.resolvePolicy(opts)
-	keep := policy != MaintRederive && !opts.Trace
-	res, rres, err := c.tb.evaluateKeep(ctx, vdb, compiled, opts, tr, keep)
+	qid, tr := beginQuery(opts, s)
+	key := newPlanKey(src, opts)
+	compiled, res, status, err := c.plan(key, s, !opts.Trace, tr)
 	if err != nil {
 		return nil, err
 	}
-	res.Snapshot = s.Gen
-	res.QueryID = 0 // cached answers are query-neutral; the copy below carries the ID
-	if opts.Trace {
-		c.plans.store(key, s, compiled, nil, nil, policy)
-	} else {
-		var view *matview.View
-		if rres != nil && keep {
-			tables, temps := rres.Detach()
-			view = matview.New(compiled.Program, tables, temps)
+	if res == nil {
+		// A maintainable answer keeps its evaluation's derived
+		// relations: the view layer refreshes them (and the memo)
+		// through commits. Traced runs never publish answers, so they
+		// keep nothing.
+		policy := c.resolvePolicy(opts)
+		keep := policy != MaintRederive && !opts.Trace
+		var rres *rtlib.Result
+		if res, rres, err = c.tb.evaluateKeep(ctx, c.tb.db.WithResolver(s), compiled, opts, tr, keep); err != nil {
+			return nil, err
 		}
-		c.plans.store(key, s, compiled, res, view, policy)
+		if !opts.Trace {
+			var view *matview.View
+			if keep {
+				tables, temps := rres.Detach()
+				view = matview.New(compiled.Program, tables, temps)
+			}
+			c.plans.store(key, s, compiled, res, view, policy)
+		}
 	}
 	out := shareResult(res)
-	out.Cache = cacheStatus
+	out.Cache = status
+	out.Snapshot = s.Gen
 	out.QueryID = qid
 	return out, nil
 }
 
-// RunQuery is Query for a pre-parsed query (uncached).
-func (c *ConcurrentTestbed) RunQuery(q dlog.Query, opts *QueryOptions) (*QueryResult, error) {
+// plan resolves a query against the pinned snapshot through the shared
+// plan cache. With answer set, a memoized answer current in s is
+// returned with the compiled program (status "result", or "maintained"
+// when view maintenance last refreshed it). Otherwise the cached
+// program is reused ("plan"), or the query is parsed, compiled against
+// the snapshot and its program stored for every later caller ("miss").
+func (c *ConcurrentTestbed) plan(key planKey, s *snapshot.Snapshot, answer bool, tr *obs.Trace) (*core.Compiled, *QueryResult, string, error) {
+	compiled, res, maintained := c.plans.lookup(key, s, answer)
+	switch {
+	case res != nil && maintained:
+		return compiled, res, "maintained", nil
+	case res != nil:
+		return compiled, res, "result", nil
+	case compiled != nil:
+		return compiled, nil, "plan", nil
+	}
+	q, err := dlog.ParseQuery(key.src)
+	if err != nil {
+		return nil, nil, "", parseErr(err)
+	}
+	// Compile against views bound to the pinned snapshot: every
+	// base-table resolution lands on its frozen versions, while
+	// session-private temp tables fall through to the live catalog.
+	vdb := c.tb.db.WithResolver(s)
+	if compiled, err = c.tb.compileWith(s.WS(), vdb, c.tb.st.WithDB(vdb), q, &key.opts, tr); err != nil {
+		return nil, nil, "", err
+	}
+	c.plans.store(key, s, compiled, nil, nil, MaintDefault)
+	return compiled, nil, "miss", nil
+}
+
+// Prepare readies a query for repeated execution: it checks the text
+// against the published snapshot and warms the shared plan cache with
+// its compiled program, so QueryContext with the same text and options
+// (the server's EXECP) starts from the cached plan or memoized answer.
+// A prepared statement is just that plan-cache entry: it recompiles on
+// its next run after a rule-base change, and an LRU eviction only
+// costs that run a compile.
+func (c *ConcurrentTestbed) Prepare(src string, opts *QueryOptions) error {
 	if opts == nil {
 		opts = &QueryOptions{}
 	}
-	qid := opts.QueryID
-	if qid == 0 {
-		qid = obs.NewQueryID()
-	}
 	s, err := c.acquire()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer s.Release()
-	var tr *obs.Trace
-	if opts.Trace {
-		tr = obs.NewTrace("query")
-		tr.Root().SetInt("snapshot_gen", int64(s.Gen))
-		tr.Root().SetInt("query_id", int64(qid))
-	}
-	vdb, vst := c.view(s)
-	compiled, err := c.tb.compileWith(s.WS(), vdb, vst, q, opts, tr)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.tb.evaluateWith(context.Background(), vdb, compiled, opts, tr)
-	if err != nil {
-		return nil, err
-	}
-	res.Snapshot = s.Gen
-	res.QueryID = qid
-	return res, nil
+	_, _, _, err = c.plan(newPlanKey(src, opts), s, false, nil)
+	return err
 }
 
 // shareResult returns a caller-private view of a cached result: the
@@ -680,118 +657,9 @@ func (c *ConcurrentTestbed) EngineMetrics() []obs.Metric {
 }
 
 // Generation returns the rule-base generation of the published
-// snapshot. Prepared queries compiled at an older generation recompile
-// on their next run; the server reports it so clients can correlate
+// snapshot. Cached plans compiled at an older generation recompile on
+// their next run; the server reports it so clients can correlate
 // results with D/KB versions.
 func (c *ConcurrentTestbed) Generation() uint64 {
 	return c.snaps.Current().RuleGen
-}
-
-// --- Prepared queries ---
-
-// Prepare compiles a query for repeated execution. The returned
-// ConcurrentPrepared is safe for concurrent use; the server keys them
-// per session.
-func (c *ConcurrentTestbed) Prepare(src string, opts *QueryOptions) (*ConcurrentPrepared, error) {
-	q, err := dlog.ParseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	if opts == nil {
-		opts = &QueryOptions{}
-	}
-	cp := &ConcurrentPrepared{c: c, q: q, opts: *opts}
-	s, err := c.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer s.Release()
-	if _, err := cp.ensure(s); err != nil {
-		return nil, err
-	}
-	return cp, nil
-}
-
-// ConcurrentPrepared is a prepared query bound to a ConcurrentTestbed.
-// Each run evaluates against a pinned snapshot, so a run either sees
-// the D/KB entirely before or entirely after any concurrent update —
-// and recompiles transparently when the rule base moved.
-type ConcurrentPrepared struct {
-	c    *ConcurrentTestbed
-	q    dlog.Query
-	opts QueryOptions
-
-	mu         sync.Mutex
-	compiled   *core.Compiled
-	gen        uint64 // rule-base generation compiled at
-	recompiles int
-}
-
-// ensure (re)compiles against the pinned snapshot when the cached
-// program predates its rule-base generation.
-func (cp *ConcurrentPrepared) ensure(s *snapshot.Snapshot) (*core.Compiled, error) {
-	//dkblint:locksafe per-statement singleflight: compiling under the lock guarantees one compile per rule-base generation
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	if cp.compiled != nil && cp.gen == s.RuleGen {
-		return cp.compiled, nil
-	}
-	vdb, vst := cp.c.view(s)
-	compiled, err := cp.c.tb.compileWith(s.WS(), vdb, vst, cp.q, &cp.opts, nil)
-	if err != nil {
-		return nil, err
-	}
-	cp.compiled, cp.gen = compiled, s.RuleGen
-	cp.recompiles++
-	return compiled, nil
-}
-
-// Run executes the prepared query against a pinned snapshot.
-func (cp *ConcurrentPrepared) Run() (*QueryResult, error) {
-	return cp.RunWithQueryID(0)
-}
-
-// RunWithQueryID is Run under an explicit query ID (0 mints one); the
-// server threads each EXECP request's wire-propagated ID through here.
-func (cp *ConcurrentPrepared) RunWithQueryID(qid uint64) (*QueryResult, error) {
-	if qid == 0 {
-		qid = obs.NewQueryID()
-	}
-	s, err := cp.c.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer s.Release()
-	compiled, err := cp.ensure(s)
-	if err != nil {
-		return nil, err
-	}
-	var tr *obs.Trace
-	if cp.opts.Trace {
-		tr = obs.NewTrace("query")
-		tr.Root().SetInt("snapshot_gen", int64(s.Gen))
-		tr.Root().SetInt("query_id", int64(qid))
-	}
-	vdb := cp.c.tb.db.WithResolver(s)
-	res, err := cp.c.tb.evaluateWith(context.Background(), vdb, compiled, &cp.opts, tr)
-	if err != nil {
-		return nil, err
-	}
-	res.Snapshot = s.Gen
-	res.QueryID = qid
-	return res, nil
-}
-
-// Stale reports whether the next Run will recompile.
-func (cp *ConcurrentPrepared) Stale() bool {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	return cp.compiled == nil || cp.gen != cp.c.snaps.Current().RuleGen
-}
-
-// Recompiles returns the number of compilations performed so far.
-func (cp *ConcurrentPrepared) Recompiles() int {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	return cp.recompiles
 }

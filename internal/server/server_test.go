@@ -478,6 +478,12 @@ func TestTypedErrorsOverWire(t *testing.T) {
 	if err := c.Load("p(X)."); !errors.Is(err, dkbms.ErrSemantic) {
 		t.Errorf("non-ground fact over wire: %v", err)
 	}
+	if _, err := c.Prepare("?- broken(", wire.QueryOpts{}); !errors.Is(err, dkbms.ErrParse) {
+		t.Errorf("Prepare syntax error over wire: %v", err)
+	}
+	if _, err := c.Prepare("?- nosuch(X).", wire.QueryOpts{}); !errors.Is(err, dkbms.ErrUnknownPredicate) {
+		t.Errorf("Prepare of unknown predicate over wire: %v", err)
+	}
 	// The error text still reaches the caller verbatim-ish.
 	_, err = c.Query("?- nosuch(X).", wire.QueryOpts{})
 	if err == nil || !strings.Contains(err.Error(), "nosuch") {
@@ -693,6 +699,82 @@ func (s *syncBuffer) String() string {
 // TestQueryIDOverWire: a client-supplied query ID is echoed in the
 // RESULT and filed in the server's slow-query ring; a server-minted ID
 // (client sends none) is echoed too and matches the ring entry.
+// TestExecPUsesPlanCache: EXECP runs through the same plan-cached read
+// path as QUERY, so a prepared text warmed by a query is answered from
+// the memoized result, and a commit is reflected exactly as a fresh
+// single-threaded testbed sees it.
+func TestExecPUsesPlanCache(t *testing.T) {
+	tb := dkbms.NewConcurrent(dkbms.NewMemory())
+	defer tb.Close()
+	if err := tb.Load(baseProgram); err != nil {
+		t.Fatal(err)
+	}
+	addr, cancel, done := startServer(t, tb, server.Options{})
+	defer func() { cancel(); <-done }()
+
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const src = "?- ancestor(c3, W)."
+	if _, err := c.Query(src, wire.QueryOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	stmt, err := c.Prepare(src, wire.QueryOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := tb.PlanStats()
+	const qid = 0xe8ec
+	res, err := stmt.ExecWithQueryID(qid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.PlanStats().ResultHits - before.ResultHits; got != 1 {
+		t.Fatalf("EXECP added %d result hits, want 1", got)
+	}
+	sl, err := c.Slowlog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entry *obs.SlowQuery
+	for i := range sl.Entries {
+		if sl.Entries[i].QueryID == qid {
+			entry = &sl.Entries[i]
+		}
+	}
+	if entry == nil || entry.Cache != "result" || entry.Query != src {
+		t.Fatalf("EXECP slowlog entry = %+v, want a %q result hit", entry, src)
+	}
+	if len(res.Rows) != 6 {
+		t.Fatalf("EXECP returned %d rows, want 6", len(res.Rows))
+	}
+
+	// A fact the query reads: EXECP must agree with a fresh testbed.
+	const fact = "parent(c9, c10)."
+	if err := c.Load(fact); err != nil {
+		t.Fatal(err)
+	}
+	res, err = stmt.Exec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := dkbms.NewMemory()
+	defer ref.Close()
+	if err := ref.Load(baseProgram + fact); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Query(src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, exp := rowSet(wireRows(res)), rowSet(localRows(want)); got != exp {
+		t.Fatalf("EXECP after load diverges from a fresh testbed:\nremote:\n%s\nlocal:\n%s", got, exp)
+	}
+}
+
 func TestQueryIDOverWire(t *testing.T) {
 	tb := dkbms.NewConcurrent(dkbms.NewMemory())
 	defer tb.Close()

@@ -28,18 +28,18 @@ type session struct {
 	// in-flight evaluation at its next LFP iteration boundary.
 	ctx context.Context
 
-	// prepared maps session-local ids to prepared queries. Entries are
-	// keyed to the rule-base generation through ConcurrentPrepared, which
-	// recompiles transparently when the generation moves; the source text
-	// rides along so EXECP traffic lands in the slow log legibly.
+	// prepared maps session-local ids to prepared statements. A
+	// statement is only its text and options: EXECP runs it through the
+	// shared plan-cached read path exactly like QUERY, so it reuses the
+	// cached plan or memoized answer and recompiles after rule changes.
 	prepared map[uint64]preparedQuery
 	nextID   uint64
 }
 
 // preparedQuery is one prepared-statement table entry.
 type preparedQuery struct {
-	cp  *dkbms.ConcurrentPrepared
-	src string
+	src  string
+	opts dkbms.QueryOptions
 }
 
 func newSession(srv *Server, conn net.Conn) *session {
@@ -148,21 +148,7 @@ func (s *session) handle(t wire.MsgType, payload []byte) (wire.MsgType, []byte) 
 		if err != nil {
 			return errFrame(err)
 		}
-		// Adopt the client's query ID or mint one, so every execution is
-		// identifiable across the result echo, the structured log and the
-		// slow-query ring.
-		opts := m.Opts.ToOptions()
-		if opts.QueryID == 0 {
-			opts.QueryID = obs.NewQueryID()
-		}
-		s.srv.stats.queries.Inc()
-		start := time.Now()
-		res, err := s.srv.tb.QueryContext(s.ctx, m.Src, opts)
-		s.recordSlow(m.Src, start, res, err, opts.QueryID)
-		if err != nil {
-			return errFrame(err)
-		}
-		return wire.MsgResult, encodeResult(res)
+		return s.query(m.Src, *m.Opts.ToOptions())
 
 	case wire.MsgPrepare:
 		m, err := wire.DecodePrepare(payload)
@@ -172,13 +158,13 @@ func (s *session) handle(t wire.MsgType, payload []byte) (wire.MsgType, []byte) 
 		if len(s.prepared) >= maxPreparedPerSession {
 			return errFrame(fmt.Errorf("server: session holds %d prepared queries; close some or reconnect", len(s.prepared)))
 		}
-		cp, err := s.srv.tb.Prepare(m.Src, m.Opts.ToOptions())
-		if err != nil {
+		opts := *m.Opts.ToOptions()
+		if err := s.srv.tb.Prepare(m.Src, &opts); err != nil {
 			return errFrame(err)
 		}
 		s.nextID++
 		id := s.nextID
-		s.prepared[id] = preparedQuery{cp: cp, src: m.Src}
+		s.prepared[id] = preparedQuery{src: m.Src, opts: opts}
 		return wire.MsgPrepared, wire.Prepared{ID: id, Generation: s.srv.tb.Generation()}.Encode()
 
 	case wire.MsgExecP:
@@ -190,18 +176,9 @@ func (s *session) handle(t wire.MsgType, payload []byte) (wire.MsgType, []byte) 
 		if !ok {
 			return errFrame(fmt.Errorf("server: no prepared query %d in this session", m.ID))
 		}
-		qid := m.QueryID
-		if qid == 0 {
-			qid = obs.NewQueryID()
-		}
-		s.srv.stats.queries.Inc()
-		start := time.Now()
-		res, err := pq.cp.RunWithQueryID(qid)
-		s.recordSlow(pq.src, start, res, err, qid)
-		if err != nil {
-			return errFrame(err)
-		}
-		return wire.MsgResult, encodeResult(res)
+		opts := pq.opts
+		opts.QueryID = m.QueryID
+		return s.query(pq.src, opts)
 
 	case wire.MsgRetract:
 		m, err := wire.DecodeRetract(payload)
@@ -243,6 +220,25 @@ func (s *session) handle(t wire.MsgType, payload []byte) (wire.MsgType, []byte) 
 	default:
 		return errFrame(fmt.Errorf("server: unknown request type %v", t))
 	}
+}
+
+// query serves QUERY and EXECP. It adopts the request's query ID or
+// mints one, so every execution is identifiable across the result
+// echo, the structured log and the slow-query ring, then runs the query
+// through the shared plan-cached read path under the session context
+// (shutdown aborts it at the next LFP iteration boundary).
+func (s *session) query(src string, opts dkbms.QueryOptions) (wire.MsgType, []byte) {
+	if opts.QueryID == 0 {
+		opts.QueryID = obs.NewQueryID()
+	}
+	s.srv.stats.queries.Inc()
+	start := time.Now()
+	res, err := s.srv.tb.QueryContext(s.ctx, src, &opts)
+	s.recordSlow(src, start, res, err, opts.QueryID)
+	if err != nil {
+		return errFrame(err)
+	}
+	return wire.MsgResult, encodeResult(res)
 }
 
 // recordSlow enters one query execution into the server's slow-query

@@ -25,6 +25,15 @@ type planKey struct {
 	opts QueryOptions
 }
 
+// newPlanKey keys a query by its text and the options that shape its
+// plan and answer: the trace flag and the per-request ID do not.
+func newPlanKey(src string, opts *QueryOptions) planKey {
+	key := planKey{src: src, opts: *opts}
+	key.opts.Trace = false
+	key.opts.QueryID = 0
+	return key
+}
+
 // planEntry is one cached compilation. The compiled program is valid
 // while the rule-base generation matches (rule changes alter the
 // generated program). The memoized result carries a per-table validity
@@ -64,8 +73,9 @@ type PlanCacheStats struct {
 	// result (no compilation, no evaluation) — including answers kept
 	// current by view maintenance.
 	ResultHits int64
-	// PlanHits counts queries that reused a compiled program but
-	// re-evaluated it (a base table the program reads had moved).
+	// PlanHits counts lookups that reused a compiled program without a
+	// memoized answer: re-evaluations (a base table the program reads
+	// had moved), traced runs, which always evaluate, and Prepare.
 	PlanHits int64
 	// Misses counts full compilations.
 	Misses int64
@@ -147,13 +157,13 @@ func assertDeps(deps []string, compiled *core.Compiled) {
 
 // lookup returns the cached compilation for the key as seen from the
 // given snapshot: (compiled, result, maintained) on a full result hit —
-// every base table the program reads is at the generation the answer
-// was computed against, maintained reporting whether that answer was
-// last refreshed by view maintenance — (compiled, nil, false) when only
-// the plan is reusable, (nil, nil, false) on a miss. Hit counters are
-// updated here; the miss counter is charged in store, so a lookup/store
-// pair counts once.
-func (pc *planCache) lookup(key planKey, snap *snapshot.Snapshot) (*core.Compiled, *QueryResult, bool) {
+// answer is set and every base table the program reads is at the
+// generation the answer was computed against, maintained reporting
+// whether that answer was last refreshed by view maintenance —
+// (compiled, nil, false) when only the plan is reusable or wanted,
+// (nil, nil, false) on a miss. Hit counters are updated here; the miss
+// counter is charged in store, so a lookup/store pair counts once.
+func (pc *planCache) lookup(key planKey, snap *snapshot.Snapshot, answer bool) (*core.Compiled, *QueryResult, bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	e, ok := pc.entries[key]
@@ -167,7 +177,7 @@ func (pc *planCache) lookup(key planKey, snap *snapshot.Snapshot) (*core.Compile
 		return nil, nil, false
 	}
 	pc.touch(e)
-	if e.result != nil && vecCurrent(e.resultVec, snap) {
+	if answer && e.result != nil && vecCurrent(e.resultVec, snap) {
 		pc.stats.ResultHits++
 		return e.compiled, e.result, e.maintained
 	}
@@ -190,11 +200,11 @@ func vecCurrent(vec map[string]uint64, snap *snapshot.Snapshot) bool {
 
 // store records a compilation and its result as evaluated against the
 // given snapshot, evicting the least recently used entry beyond
-// capacity. A nil result stores the plan without touching any memoized
-// answer or view (traced runs share plans with untraced queries but
-// never publish their answers). A non-nil view transfers ownership of
-// the evaluation's derived relations; whatever view the entry held
-// before is condemned for the writer to tear down.
+// capacity. A nil result stores the plan alone (a fresh compilation,
+// stored before it is evaluated) and keeps the entry's memoized answer
+// only while the program is unchanged. A non-nil view transfers
+// ownership of the evaluation's derived relations; whatever view the
+// entry held before is condemned for the writer to tear down.
 //
 // Racing stores for one key (readers pinned to different snapshots)
 // need no ordering: a result stored with an older dependency vector
@@ -224,6 +234,12 @@ func (pc *planCache) store(key planKey, snap *snapshot.Snapshot, compiled *core.
 		// raced us here; keep the newest state.
 		if e.compiled != compiled {
 			pc.stats.Misses++
+			if result == nil {
+				// The memoized answer belongs to the replaced program
+				// (possibly of another rule-base generation).
+				pc.condemnLocked(e.view)
+				e.result, e.resultVec, e.view = nil, nil, nil
+			}
 		}
 		e.compiled, e.ruleGen, e.deps = compiled, snap.RuleGen, deps
 		if result != nil {
@@ -236,13 +252,7 @@ func (pc *planCache) store(key planKey, snap *snapshot.Snapshot, compiled *core.
 	}
 	pc.stats.Misses++
 	e = &planEntry{key: key, compiled: compiled, ruleGen: snap.RuleGen, deps: deps,
-		result: result, resultVec: vec}
-	if result != nil {
-		e.view, e.policy = view, policy
-	} else if view != nil {
-		// A traced run must not adopt a view it has no result for.
-		pc.condemnLocked(view)
-	}
+		result: result, resultVec: vec, view: view, policy: policy}
 	pc.entries[key] = e
 	pc.pushFront(e)
 	for len(pc.entries) > pc.capacity {

@@ -1,7 +1,10 @@
 package dkbms
 
 import (
+	"errors"
 	"testing"
+
+	"dkbms/internal/dlog"
 )
 
 func TestPreparedQueryReuse(t *testing.T) {
@@ -131,7 +134,56 @@ func sameRowsP(t *testing.T, p *Prepared, want ...string) {
 
 func TestPreparedParseError(t *testing.T) {
 	tb := familyTB(t)
-	if _, err := tb.Prepare("?- nonsense(", nil); err == nil {
-		t.Fatal("bad query accepted")
+	if _, err := tb.Prepare("?- nonsense(", nil); !errors.Is(err, ErrParse) {
+		t.Fatalf("bad query: err = %v, want ErrParse", err)
+	}
+	c := NewConcurrent(NewMemory())
+	defer c.Close()
+	if err := c.Prepare("?- nonsense(", nil); !errors.Is(err, ErrParse) {
+		t.Fatalf("concurrent bad query: err = %v, want ErrParse", err)
+	}
+}
+
+// TestQueryIDOnEveryPath: every entry point that runs a query stamps a
+// query ID into the result (minted when the caller supplies none) and,
+// when traced, onto the trace root.
+func TestQueryIDOnEveryPath(t *testing.T) {
+	tb := familyTB(t)
+	const src = "?- ancestor(john, W)."
+	p, err := tb.Prepare(src, &QueryOptions{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := dlog.ParseQuery(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled, err := tb.Compile(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func() (*QueryResult, error){
+		"Prepared.Run": p.Run,
+		"Evaluate":     func() (*QueryResult, error) { return tb.Evaluate(compiled, &QueryOptions{Trace: true}) },
+		"Query":        func() (*QueryResult, error) { return tb.Query(src, &QueryOptions{Trace: true}) },
+	} {
+		res, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.QueryID == 0 {
+			t.Errorf("%s: QueryID = 0, want a minted ID", name)
+		}
+		if id, ok := res.Trace.Root().Int("query_id"); !ok || uint64(id) != res.QueryID {
+			t.Errorf("%s: trace query_id = %d (set %v), want %d", name, id, ok, res.QueryID)
+		}
+	}
+	const qid = 0x5eed
+	res, err := tb.Evaluate(compiled, &QueryOptions{QueryID: qid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.QueryID != qid {
+		t.Errorf("Evaluate: QueryID = %#x, want the caller's %#x", res.QueryID, qid)
 	}
 }

@@ -43,6 +43,7 @@ import (
 	"dkbms/internal/rel"
 	"dkbms/internal/rtlib"
 	"dkbms/internal/sched"
+	"dkbms/internal/snapshot"
 	"dkbms/internal/stored"
 )
 
@@ -383,33 +384,53 @@ func (tb *Testbed) QueryContext(ctx context.Context, src string, opts *QueryOpti
 	if err != nil {
 		return nil, parseErr(err)
 	}
-	return tb.RunQueryContext(ctx, q, opts)
+	return tb.run(ctx, q, nil, opts)
 }
 
 // RunQuery is Query for a pre-parsed query.
 func (tb *Testbed) RunQuery(q dlog.Query, opts *QueryOptions) (*QueryResult, error) {
-	return tb.RunQueryContext(context.Background(), q, opts)
+	return tb.run(context.Background(), q, nil, opts)
 }
 
 // RunQueryContext is QueryContext for a pre-parsed query.
 func (tb *Testbed) RunQueryContext(ctx context.Context, q dlog.Query, opts *QueryOptions) (*QueryResult, error) {
+	return tb.run(ctx, q, nil, opts)
+}
+
+// Compile runs only the Knowledge Manager pipeline, returning the
+// evaluation program (used by benchmarks that measure t_c and t_e
+// separately, and by prepared queries).
+func (tb *Testbed) Compile(q dlog.Query, opts *QueryOptions) (*core.Compiled, error) {
+	return tb.compileWith(tb.ws, tb.db, tb.st, q, opts, nil)
+}
+
+// Evaluate runs a compiled program. When opts.Trace is set the result
+// carries an evaluation-only trace (compilation happened elsewhere —
+// e.g. in Prepare).
+func (tb *Testbed) Evaluate(compiled *core.Compiled, opts *QueryOptions) (*QueryResult, error) {
+	return tb.run(context.Background(), dlog.Query{}, compiled, opts)
+}
+
+// EvaluateContext is Evaluate under a context (see QueryContext).
+func (tb *Testbed) EvaluateContext(ctx context.Context, compiled *core.Compiled, opts *QueryOptions) (*QueryResult, error) {
+	return tb.run(ctx, dlog.Query{}, compiled, opts)
+}
+
+// run is the plain Testbed's query path, behind every query entry
+// point: it opens the query (beginQuery), compiles q against the live
+// state unless a compiled program is supplied, and evaluates.
+func (tb *Testbed) run(ctx context.Context, q dlog.Query, compiled *core.Compiled, opts *QueryOptions) (*QueryResult, error) {
 	if opts == nil {
 		opts = &QueryOptions{}
 	}
-	qid := opts.QueryID
-	if qid == 0 {
-		qid = obs.NewQueryID()
+	qid, tr := beginQuery(opts, nil)
+	if compiled == nil {
+		var err error
+		if compiled, err = tb.compileWith(tb.ws, tb.db, tb.st, q, opts, tr); err != nil {
+			return nil, err
+		}
 	}
-	var tr *obs.Trace
-	if opts.Trace {
-		tr = obs.NewTrace("query")
-		tr.Root().SetInt("query_id", int64(qid))
-	}
-	compiled, err := tb.compile(q, opts, tr)
-	if err != nil {
-		return nil, err
-	}
-	res, err := tb.evaluate(ctx, compiled, opts, tr)
+	res, _, err := tb.evaluateKeep(ctx, tb.db, compiled, opts, tr, false)
 	if err != nil {
 		return nil, err
 	}
@@ -417,22 +438,31 @@ func (tb *Testbed) RunQueryContext(ctx context.Context, q dlog.Query, opts *Quer
 	return res, nil
 }
 
-// Compile runs only the Knowledge Manager pipeline, returning the
-// evaluation program (used by benchmarks that measure t_c and t_e
-// separately, and by the precompiled-query cache).
-func (tb *Testbed) Compile(q dlog.Query, opts *QueryOptions) (*core.Compiled, error) {
-	return tb.compile(q, opts, nil)
+// beginQuery opens one query execution: it adopts opts.QueryID or mints
+// a fresh ID and, when opts.Trace is set, starts the query's trace with
+// the ID (and, for a run against a pinned snapshot s, its generation)
+// on the root span. Every query path in the package starts here.
+func beginQuery(opts *QueryOptions, s *snapshot.Snapshot) (uint64, *obs.Trace) {
+	qid := opts.QueryID
+	if qid == 0 {
+		qid = obs.NewQueryID()
+	}
+	if !opts.Trace {
+		return qid, nil
+	}
+	tr := obs.NewTrace("query")
+	if s != nil {
+		tr.Root().SetInt("snapshot_gen", int64(s.Gen))
+	}
+	tr.Root().SetInt("query_id", int64(qid))
+	return qid, tr
 }
 
-func (tb *Testbed) compile(q dlog.Query, opts *QueryOptions, tr *obs.Trace) (*core.Compiled, error) {
-	return tb.compileWith(tb.ws, tb.db, tb.st, q, opts, tr)
-}
-
-// compileWith is compile against an explicit workspace, database and
-// rule source — the ConcurrentTestbed passes a pinned snapshot's frozen
-// workspace and resolver-bound views here, so the whole Knowledge
-// Manager pipeline (rule extraction, dictionary reads, schema lookups)
-// sees one consistent engine state.
+// compileWith compiles a query against an explicit workspace, database
+// and rule source — the live testbed state, or (from ConcurrentTestbed)
+// a pinned snapshot's frozen workspace and resolver-bound views, so the
+// whole Knowledge Manager pipeline (rule extraction, dictionary reads,
+// schema lookups) sees one consistent engine state.
 func (tb *Testbed) compileWith(ws *core.Workspace, d *db.DB, st *stored.Manager, q dlog.Query, opts *QueryOptions, tr *obs.Trace) (*core.Compiled, error) {
 	if tb.closed {
 		return nil, ErrClosed
@@ -452,45 +482,16 @@ func (tb *Testbed) compileWith(ws *core.Workspace, d *db.DB, st *stored.Manager,
 	return compiled, nil
 }
 
-// Evaluate runs a compiled program. When opts.Trace is set the result
-// carries an evaluation-only trace (compilation happened elsewhere —
-// e.g. in Prepare).
-func (tb *Testbed) Evaluate(compiled *core.Compiled, opts *QueryOptions) (*QueryResult, error) {
-	return tb.EvaluateContext(context.Background(), compiled, opts)
-}
-
-// EvaluateContext is Evaluate under a context (see QueryContext).
-func (tb *Testbed) EvaluateContext(ctx context.Context, compiled *core.Compiled, opts *QueryOptions) (*QueryResult, error) {
-	var tr *obs.Trace
-	if opts != nil && opts.Trace {
-		tr = obs.NewTrace("query")
-	}
-	return tb.evaluate(ctx, compiled, opts, tr)
-}
-
-func (tb *Testbed) evaluate(ctx context.Context, compiled *core.Compiled, opts *QueryOptions, tr *obs.Trace) (*QueryResult, error) {
-	return tb.evaluateWith(ctx, tb.db, compiled, opts, tr)
-}
-
-// evaluateWith is evaluate against an explicit database — normally a
-// snapshot-bound view, so the run-time library reads frozen base-table
-// versions while its session-private temp tables still land in the
-// live catalog.
-func (tb *Testbed) evaluateWith(ctx context.Context, d *db.DB, compiled *core.Compiled, opts *QueryOptions, tr *obs.Trace) (*QueryResult, error) {
-	res, _, err := tb.evaluateKeep(ctx, d, compiled, opts, tr, false)
-	return res, err
-}
-
-// evaluateKeep is evaluateWith with control over temp-table retention:
-// with keep set, the rtlib result retains the evaluation's derived
-// relations (Result.Detach hands them to the materialized-view layer)
-// and is returned alongside the query result.
+// evaluateKeep runs a compiled program against an explicit database —
+// the live one, or a snapshot-bound view whose base-table resolutions
+// land on frozen versions while session-private temp tables still go
+// to the live catalog. With keep set, the rtlib result retains the
+// evaluation's derived relations (Result.Detach hands them to the
+// materialized-view layer) and is returned alongside the query result.
+// opts must be non-nil; the caller stamps the query ID.
 func (tb *Testbed) evaluateKeep(ctx context.Context, d *db.DB, compiled *core.Compiled, opts *QueryOptions, tr *obs.Trace, keep bool) (*QueryResult, *rtlib.Result, error) {
 	if tb.closed {
 		return nil, nil, ErrClosed
-	}
-	if opts == nil {
-		opts = &QueryOptions{}
 	}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -521,7 +522,6 @@ func (tb *Testbed) evaluateKeep(ctx context.Context, d *db.DB, compiled *core.Co
 		Optimized: compiled.Optimized,
 		Strategy:  strategy,
 		Trace:     tr,
-		QueryID:   opts.QueryID,
 	}, res, nil
 }
 
